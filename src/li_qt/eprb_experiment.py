@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -62,7 +63,7 @@ class PairEventLog:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
-    @property
+    @cached_property
     def theta(self) -> float:
         return self.a1.angle_to(self.a2)
 

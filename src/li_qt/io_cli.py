@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -59,93 +60,110 @@ def _read_sidecar(path: Path) -> dict:
     return data
 
 
-def save_event_log(log: EventLog, base: Path) -> list[Path]:
+# kind -> (header, dtype, allowed values of every column after ``index``).  A
+# leading ``index`` column is written as, and must read back as, 0..n-1.  Rows
+# end in "\r\n" on write, the terminator csv.writer emitted, so the bytes are
+# unchanged; either line ending is accepted on read.
+_SCHEMAS = {
+    "sg": (("index", "outcome"), np.int64, (-1, 1)),
+    "eprb": (("index", "x", "y"), np.int64, (-1, 1)),
+    "detector": (("tau", "j", "count"), np.int64, None),
+    "sg_correlations": (("ax", "ay", "az", "mx", "my", "mz", "mean_x"), np.float64, None),
+    "eprb_correlations": (
+        ("a1x", "a1y", "a1z", "a2x", "a2y", "a2z", "mean_x", "mean_y", "mean_xy"),
+        np.float64,
+        None,
+    ),
+}
+_LOG_KINDS = ("sg", "eprb", "detector")
+
+
+def _write_table(path: Path, kind: str, columns: list[np.ndarray]) -> None:
+    """Write integer ``columns`` (the index excluded) as the CSV table ``kind``."""
+    header = _SCHEMAS[kind][0]
+    n = len(columns[0])
+    if header[0] == "index":
+        columns = [np.arange(n), *columns]
+    row = ",".join(["%d"] * len(header)) + "\r\n"
+    cells = tuple(np.column_stack(columns).ravel().tolist())
+    path.write_text(",".join(header) + "\r\n" + (row * n) % cells, newline="")
+
+
+def _read_table(path: Path, kind: str) -> np.ndarray:
+    """The rows of the CSV table ``kind`` at ``path``, validated in bulk."""
+    header, dtype, allowed = _SCHEMAS[kind]
+    with Path(path).open() as fh:
+        found = fh.readline().rstrip("\n").split(",")
+        if found != list(header):
+            raise SchemaMismatch(f"{path}: expected header {list(header)}, got {found}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            try:
+                rows = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=2, comments=None)
+            except ValueError as exc:
+                raise CorruptData(f"{path}: {exc}") from exc
+    if rows.size == 0:
+        rows = rows.reshape(0, len(header))
+    if rows.shape[1] != len(header):
+        raise CorruptData(f"{path}: rows have {rows.shape[1]} columns, header {len(header)}")
+    if header[0] == "index" and not np.array_equal(rows[:, 0], np.arange(len(rows))):
+        raise CorruptData(f"{path}: index column is not 0..{len(rows) - 1}")
+    if allowed is not None and not np.isin(rows[:, 1:], allowed).all():
+        raise CorruptData(f"{path}: values outside {set(allowed)}")
+    return rows
+
+
+def _save(base: Path, kind: str, columns: list[np.ndarray], **meta) -> list[Path]:
     csv_path = base.with_suffix(".csv")
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "outcome"])
-        writer.writerows(enumerate(int(v) for v in log.outcomes))
+    _write_table(csv_path, kind, columns)
     sidecar = base.with_suffix(".json")
-    _write_sidecar(
-        sidecar,
-        {
-            "kind": "sg",
-            "a": list(log.a.as_array()),
-            "m": list(log.m_direction.as_array()),
-            "theta": log.theta,
-            "seed": log.seed,
-            "n": log.n,
-            "conditions": {
-                "label": log.conditions.label,
-                "parameters": dict(log.conditions.parameters),
-            },
-        },
-    )
+    _write_sidecar(sidecar, {"kind": kind, **meta})
     return [csv_path, sidecar]
+
+
+def _conditions(conditions: ExperimentConditions) -> dict:
+    return {"label": conditions.label, "parameters": dict(conditions.parameters)}
+
+
+def save_event_log(log: EventLog, base: Path) -> list[Path]:
+    return _save(
+        base, "sg", [log.outcomes],
+        a=list(log.a.as_array()), m=list(log.m_direction.as_array()), theta=log.theta,
+        seed=log.seed, n=log.n, conditions=_conditions(log.conditions),
+    )
 
 
 def save_pair_log(log: PairEventLog, base: Path) -> list[Path]:
-    csv_path = base.with_suffix(".csv")
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "x", "y"])
-        writer.writerows(
-            (i, int(x), int(y)) for i, (x, y) in enumerate(zip(log.xs, log.ys))
-        )
-    sidecar = base.with_suffix(".json")
-    _write_sidecar(
-        sidecar,
-        {
-            "kind": "eprb",
-            "a1": list(log.a1.as_array()),
-            "a2": list(log.a2.as_array()),
-            "theta": log.theta,
-            "seed": log.seed,
-            "n": log.n,
-            "conditions": {
-                "label": log.conditions.label,
-                "parameters": dict(log.conditions.parameters),
-            },
-        },
+    return _save(
+        base, "eprb", [log.xs, log.ys],
+        a1=list(log.a1.as_array()), a2=list(log.a2.as_array()), theta=log.theta,
+        seed=log.seed, n=log.n, conditions=_conditions(log.conditions),
     )
-    return [csv_path, sidecar]
 
 
 def save_detector_data(data: DetectorData, base: Path, seed: int) -> list[Path]:
-    csv_path = base.with_suffix(".csv")
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "j", "count"])
-        for tau in range(data.clicks.shape[0]):
-            for col, j in enumerate(range(-data.k_det, data.k_det + 1)):
-                writer.writerow([tau, j, int(data.clicks[tau, col])])
-    sidecar = base.with_suffix(".json")
-    _write_sidecar(
-        sidecar,
-        {
-            "kind": "detector",
-            "k_det": data.k_det,
-            "n_repeats": data.n_repeats,
-            "n_slices": int(data.clicks.shape[0]),
-            "seed": seed,
-        },
+    n_slices, width = data.clicks.shape
+    return _save(
+        base, "detector",
+        [np.repeat(np.arange(n_slices), width),
+         np.tile(np.arange(-data.k_det, data.k_det + 1), n_slices),
+         data.clicks.ravel()],
+        k_det=data.k_det, n_repeats=data.n_repeats, n_slices=n_slices, seed=seed,
     )
-    return [csv_path, sidecar]
 
 
-def _read_csv_columns(path: Path, expected_header: list[str]) -> np.ndarray:
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected_header:
-            raise SchemaMismatch(
-                f"{path}: expected header {expected_header}, got {header}"
-            )
-        try:
-            rows = [[int(cell) for cell in row] for row in reader if row]
-        except ValueError as exc:
-            raise CorruptData(f"{path}: non-integer cell ({exc})") from exc
-    return np.array(rows, dtype=np.int64).reshape(-1, len(expected_header))
+def _detector_clicks(rows: np.ndarray, n_slices: int, k_det: int, path: Path) -> np.ndarray:
+    """Click matrix from (tau, j, count) rows that cover each cell exactly once."""
+    tau, j, count = rows.T
+    width = 2 * k_det + 1
+    if not np.all((0 <= tau) & (tau < n_slices) & (-k_det <= j) & (j <= k_det)):
+        raise CorruptData(f"{path}: (tau, j) outside {n_slices} slices x |j| <= {k_det}")
+    cell = tau * width + j + k_det
+    if not np.all(np.bincount(cell, minlength=n_slices * width) == 1):
+        raise CorruptData(f"{path}: rows must cover each (tau, j) exactly once")
+    clicks = np.empty(n_slices * width, dtype=np.int64)
+    clicks[cell] = count
+    return clicks.reshape(n_slices, width)
 
 
 def load_events(base: Path) -> EventLog | PairEventLog | DetectorData:
@@ -153,24 +171,28 @@ def load_events(base: Path) -> EventLog | PairEventLog | DetectorData:
 
     ``base`` may point at the CSV, the JSON, or the common stem.
     """
-    base = Path(base)
-    stem = base.with_suffix("")
+    stem = Path(base).with_suffix("")
     sidecar_path = stem.with_suffix(".json")
     csv_path = stem.with_suffix(".csv")
-    if not sidecar_path.exists():
-        raise SchemaMismatch(f"missing sidecar {sidecar_path}")
-    if not csv_path.exists():
-        raise SchemaMismatch(f"missing data file {csv_path}")
+    for path in (sidecar_path, csv_path):
+        if not path.exists():
+            raise SchemaMismatch(f"missing file {path}")
     meta = _read_sidecar(sidecar_path)
     kind = meta.get("kind")
-
+    if kind not in _LOG_KINDS:
+        raise SchemaMismatch(f"{sidecar_path}: unknown log kind {kind!r}")
+    rows = _read_table(csv_path, kind)
+    if kind == "detector":
+        k_det = int(meta["k_det"])
+        clicks = _detector_clicks(rows, int(meta["n_slices"]), k_det, csv_path)
+        try:
+            return DetectorData(clicks=clicks, n_repeats=int(meta["n_repeats"]), k_det=k_det)
+        except ValueError as exc:
+            raise CorruptData(f"{csv_path}: {exc}") from exc
+    if rows.shape[0] != meta["n"]:
+        raise CorruptData(f"{csv_path}: {rows.shape[0]} rows but sidecar declares n={meta['n']}")
+    conditions = ExperimentConditions(**meta.get("conditions", {}))
     if kind == "sg":
-        rows = _read_csv_columns(csv_path, ["index", "outcome"])
-        if rows.shape[0] != meta["n"]:
-            raise CorruptData(
-                f"{csv_path}: {rows.shape[0]} rows but sidecar declares n={meta['n']}"
-            )
-        conditions = ExperimentConditions(**meta.get("conditions", {}))
         log = EventLog(
             outcomes=rows[:, 1],
             a=UnitVector3.from_array(meta["a"]),
@@ -178,19 +200,7 @@ def load_events(base: Path) -> EventLog | PairEventLog | DetectorData:
             seed=int(meta["seed"]),
             conditions=conditions,
         )
-        if abs(log.theta - float(meta["theta"])) > 1e-12:
-            raise CorruptData(
-                f"{sidecar_path}: declared theta {meta['theta']} does not match "
-                f"arccos(a.m) = {log.theta}"
-            )
-        return log
-    if kind == "eprb":
-        rows = _read_csv_columns(csv_path, ["index", "x", "y"])
-        if rows.shape[0] != meta["n"]:
-            raise CorruptData(
-                f"{csv_path}: {rows.shape[0]} rows but sidecar declares n={meta['n']}"
-            )
-        conditions = ExperimentConditions(**meta.get("conditions", {}))
+    else:
         log = PairEventLog(
             xs=rows[:, 1],
             ys=rows[:, 2],
@@ -199,31 +209,19 @@ def load_events(base: Path) -> EventLog | PairEventLog | DetectorData:
             seed=int(meta["seed"]),
             conditions=conditions,
         )
-        if abs(log.theta - float(meta["theta"])) > 1e-12:
-            raise CorruptData(
-                f"{sidecar_path}: declared theta {meta['theta']} does not match "
-                f"arccos(a1.a2) = {log.theta}"
-            )
-        return log
-    if kind == "detector":
-        rows = _read_csv_columns(csv_path, ["tau", "j", "count"])
-        k_det = int(meta["k_det"])
-        n_slices = int(meta["n_slices"])
-        clicks = np.zeros((n_slices, 2 * k_det + 1), dtype=np.int64)
-        for tau, j, count in rows:
-            clicks[tau, j + k_det] = count
-        try:
-            return DetectorData(clicks=clicks, n_repeats=int(meta["n_repeats"]), k_det=k_det)
-        except ValueError as exc:
-            raise CorruptData(f"{csv_path}: {exc}") from exc
-    raise SchemaMismatch(f"{sidecar_path}: unknown log kind {kind!r}")
+    if abs(log.theta - float(meta["theta"])) > 1e-12:
+        raise CorruptData(
+            f"{sidecar_path}: declared theta {meta['theta']} does not match "
+            f"the angle between the orientations, {log.theta}"
+        )
+    return log
 
 
 def load_external_pair_csv(
     path: Path, a1: UnitVector3, a2: UnitVector3
 ) -> PairEventLog:
     """Ingest a bare index,x,y CSV (no sidecar) with orientations from flags."""
-    rows = _read_csv_columns(Path(path), ["index", "x", "y"])
+    rows = _read_table(path, "eprb")
     return PairEventLog(xs=rows[:, 1], ys=rows[:, 2], a1=a1, a2=a2, seed=-1)
 
 
@@ -497,38 +495,24 @@ def _cmd_eprb_test(args) -> int:
     for log in logs:
         sigma, ok = eprb_experiment.singlet_compliance_test(log)
         sig_x, sig_y = eprb_experiment.marginal_uniformity_test(log)
-        all_pass &= ok and sig_x <= 5 and sig_y <= 5
+        line_pass = ok and sig_x <= 5 and sig_y <= 5
+        all_pass &= line_pass
         print(
             f"theta={log.theta:.6f} singlet_sigma={sigma:.3f} "
             f"marginal_sigma=({sig_x:.3f}, {sig_y:.3f}) "
-            f"{'PASS' if ok else 'FAIL'}"
+            f"{'PASS' if line_pass else 'FAIL'}"
         )
     return EXIT_OK if all_pass else EXIT_CONTRACT
 
 
-def _load_sg_correlations(path: Path):
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["ax", "ay", "az", "mx", "my", "mz", "mean_x"]
-        if header != expected:
-            raise SchemaMismatch(f"{path}: expected header {expected}, got {header}")
-        design, means = [], []
-        for row in reader:
-            if not row:
-                continue
-            vals = [float(v) for v in row]
-            design.append(
-                (UnitVector3.from_array(vals[0:3]), UnitVector3.from_array(vals[3:6]))
-            )
-            means.append(vals[6])
-    return design, means
+def _design(rows: np.ndarray) -> list[tuple[UnitVector3, UnitVector3]]:
+    return [(UnitVector3(*r[0:3]), UnitVector3(*r[3:6])) for r in rows.tolist()]
 
 
 def _cmd_separate_sg(args) -> int:
-    design, means = _load_sg_correlations(args.input)
+    rows = _read_table(args.input, "sg_correlations")
     try:
-        result = separation.separate_sg(means, design, noise_floor=args.noise_floor)
+        result = separation.separate_sg(rows[:, 6], _design(rows), noise_floor=args.noise_floor)
     except NonSeparable as exc:
         print(f"non-separable: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
@@ -556,33 +540,12 @@ def _cmd_separate_sg(args) -> int:
     return EXIT_OK
 
 
-def _load_eprb_correlations(path: Path):
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = [
-            "a1x", "a1y", "a1z", "a2x", "a2y", "a2z", "mean_x", "mean_y", "mean_xy",
-        ]
-        if header != expected:
-            raise SchemaMismatch(f"{path}: expected header {expected}, got {header}")
-        design, xm, ym, xym = [], [], [], []
-        for row in reader:
-            if not row:
-                continue
-            vals = [float(v) for v in row]
-            design.append(
-                (UnitVector3.from_array(vals[0:3]), UnitVector3.from_array(vals[3:6]))
-            )
-            xm.append(vals[6])
-            ym.append(vals[7])
-            xym.append(vals[8])
-    return design, xm, ym, xym
-
-
 def _cmd_separate_eprb(args) -> int:
-    design, xm, ym, xym = _load_eprb_correlations(args.input)
+    rows = _read_table(args.input, "eprb_correlations")
     try:
-        result = separation.separate_eprb(design, xm, ym, xym, noise_floor=args.noise_floor)
+        result = separation.separate_eprb(
+            _design(rows), *rows[:, 6:9].T, noise_floor=args.noise_floor
+        )
     except NonSeparable as exc:
         print(f"non-separable: {exc}", file=sys.stderr)
         return EXIT_CONTRACT

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -37,20 +38,22 @@ class UnitVector3:
     z: float
 
     def __post_init__(self):
-        norm = math.sqrt(self.x**2 + self.y**2 + self.z**2)
+        x, y, z = float(self.x), float(self.y), float(self.z)
+        norm = math.sqrt(x**2 + y**2 + z**2)
         if norm == 0.0 or not math.isfinite(norm):
             raise ValueError("cannot normalize a zero or non-finite vector")
         if abs(norm - 1.0) > _UNIT_TOL:
-            object.__setattr__(self, "x", self.x / norm)
-            object.__setattr__(self, "y", self.y / norm)
-            object.__setattr__(self, "z", self.z / norm)
+            x, y, z = x / norm, y / norm, z / norm
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     @classmethod
     def from_array(cls, v: Sequence[float]) -> "UnitVector3":
         v = np.asarray(v, dtype=float)
         if v.shape != (3,):
             raise ValueError("expected a 3-vector")
-        return cls(float(v[0]), float(v[1]), float(v[2]))
+        return cls(*v.tolist())
 
     @classmethod
     def from_polar(cls, theta: float, azimuth: float = 0.0) -> "UnitVector3":
@@ -89,7 +92,7 @@ class EventLog:
             raise ValueError("outcomes must be +1 or -1")
         object.__setattr__(self, "outcomes", arr)
 
-    @property
+    @cached_property
     def theta(self) -> float:
         return self.a.angle_to(self.m_direction)
 

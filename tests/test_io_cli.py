@@ -1,9 +1,15 @@
+import hashlib
 import json
 import math
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import li_qt
 from li_qt import separation
 from li_qt.errors import CorruptData, SchemaMismatch
 from li_qt.eprb_experiment import sample_eprb
@@ -19,8 +25,9 @@ from li_qt.io_cli import (
     verify_manifest,
     write_manifest,
 )
-from li_qt.sg_experiment import UnitVector3, sample_sg
+from li_qt.sg_experiment import EventLog, UnitVector3, sample_sg
 from li_qt.wave_dynamics import (
+    DetectorData,
     PolarField,
     SpatialGrid,
     simulate_detector_clicks,
@@ -85,6 +92,117 @@ class TestLogPersistence:
         loaded = load_events(tmp_path / "det")
         assert np.array_equal(loaded.clicks, data.clicks)
         assert loaded.k_det == 4
+
+    def test_header_only_log_round_trip(self, tmp_path):
+        empty = EventLog(outcomes=np.array([], dtype=np.int8), a=Z, m_direction=Z, seed=0)
+        csv_path, _ = save_event_log(empty, tmp_path / "empty")
+        assert csv_path.read_bytes() == b"index,outcome\r\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = load_events(tmp_path / "empty")
+        assert loaded.n == 0
+
+    def test_single_event_round_trip(self, tmp_path):
+        log = sample_sg(X, Z, 1, seed=4)
+        pairs = sample_eprb(Z, X, 1, seed=4)
+        save_event_log(log, tmp_path / "one")
+        save_pair_log(pairs, tmp_path / "pair")
+        assert np.array_equal(load_events(tmp_path / "one").outcomes, log.outcomes)
+        loaded = load_events(tmp_path / "pair")
+        assert (loaded.xs.tolist(), loaded.ys.tolist()) == (pairs.xs.tolist(), pairs.ys.tolist())
+
+    def test_integer_orientations_write_float_sidecar(self, tmp_path):
+        as_ints = sample_sg(UnitVector3(1, 0, 0), UnitVector3(0, 0, 1), 10, seed=1)
+        as_floats = sample_sg(X, Z, 10, seed=1)
+        _, ints = save_event_log(as_ints, tmp_path / "ints")
+        _, floats = save_event_log(as_floats, tmp_path / "floats")
+        assert ints.read_bytes() == floats.read_bytes()
+        _, ints = save_pair_log(sample_eprb(UnitVector3(0, 0, 1), UnitVector3(1, 0, 0), 10, 1),
+                                tmp_path / "pair_ints")
+        _, floats = save_pair_log(sample_eprb(Z, X, 10, 1), tmp_path / "pair_floats")
+        assert ints.read_bytes() == floats.read_bytes()
+
+
+def _sha(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedBytes:
+    """sha256 of logs at fixed seeds, recorded before the vectorized writer."""
+
+    def test_cli_logs(self, tmp_path):
+        assert run_command(["sg", "run", "--theta-grid", "0.2:2.9:4", "--n", "2000",
+                            "--seed", "11", "--out", str(tmp_path / "sg")]) == 0
+        assert run_command(["eprb", "run", "--theta-grid", "0.2:2.9:3", "--n", "2000",
+                            "--seed", "9", "--out", str(tmp_path / "eprb")]) == 0
+        assert {name: _sha(tmp_path / name) for name in (
+            "sg/sg_000.csv", "sg/sg_000.json", "sg/sg_002.csv",
+            "eprb/eprb_000.csv", "eprb/eprb_000.json",
+        )} == {
+            "sg/sg_000.csv": "2c661264ff50572c5a2dafda3ebf3df87359537351db2be9b63b8e9657649805",
+            "sg/sg_000.json": "56bd60bb79bdf8d9300920db24bd6a91b00be169743849c46dc8fe7056e54ef2",
+            "sg/sg_002.csv": "f42b8ec81a29874e3a241f2e45b7ce9eb1aae5fe06dba07014b713f369073b74",
+            "eprb/eprb_000.csv": "46d9adec354112b1bcb334412343c22ffb115f519aeec71d8fe09f80b46d7d04",
+            "eprb/eprb_000.json": "3b0a8fae4125fb385c37ae07d139f78de8542ebe536002460e21766f10552a18",
+        }
+
+    def test_detector_data(self, tmp_path):
+        grid = SpatialGrid(L=5.0, n_x=256, dt=0.1, n_t=3)
+        P = np.exp(-grid.x**2)
+        P /= np.trapezoid(P, dx=grid.dx)
+        fields = PolarField(P=np.tile(P, (3, 1)), S=np.zeros((3, grid.n_x)))
+        data = simulate_detector_clicks(fields, grid, k_det=4, n=500, seed=6)
+        csv_path, sidecar = save_detector_data(data, tmp_path / "det", seed=6)
+        assert _sha(csv_path) == "e98cffc11e9a80125014c51b52ff09e35ca240590c5c0d0da9592dfd7e4823b9"
+        assert _sha(sidecar) == "884b5b00b50e897a68c74d82d2d6626c30be18e0eae4cde8534c87b5c5160f04"
+
+
+def _write_log(tmp_path: Path, kind: str, n: int) -> Path:
+    """A valid log of ``n`` rows (detector: n = 3, one slice, k_det = 1)."""
+    if kind == "sg":
+        save_event_log(sample_sg(X, Z, n, seed=1), tmp_path / "sg_000")
+        return tmp_path / "sg_000.csv"
+    if kind == "eprb":
+        save_pair_log(sample_eprb(Z, X, n, seed=1), tmp_path / "eprb_000")
+        return tmp_path / "eprb_000.csv"
+    data = DetectorData(clicks=np.array([[2, 3, 0]]), n_repeats=5, k_det=1)
+    save_detector_data(data, tmp_path / "det", seed=0)
+    return tmp_path / "det.csv"
+
+
+MALFORMED = {
+    # id: (kind, csv text; the sidecar declares as many rows as it holds)
+    "int8_wrap_257": ("sg", "index,outcome\n0,257\n"),
+    "int8_wrap_minus_255": ("sg", "index,outcome\n0,1\n1,-255\n"),
+    "zero_outcome": ("sg", "index,outcome\n0,0\n"),
+    "index_not_arange": ("sg", "index,outcome\n7,1\n7,1\n7,1\n"),
+    "non_integer_cell": ("sg", "index,outcome\n0,1.0\n"),
+    "wrong_header": ("sg", "index,x\n0,1\n"),
+    "ragged_row": ("eprb", "index,x,y\n0,1,-1\n1,1\n"),
+    "extra_column": ("eprb", "index,x,y\n0,1,-1,1\n1,1,1,1\n"),
+    "pair_outcome_2": ("eprb", "index,x,y\n0,1,2\n"),
+    "detector_j_out_of_range": ("detector", "tau,j,count\n0,-2,2\n0,0,3\n0,-1,0\n"),
+    "detector_duplicate_cell": ("detector", "tau,j,count\n0,-1,5\n0,0,0\n0,1,0\n0,-1,5\n"),
+    "detector_missing_cell": ("detector", "tau,j,count\n0,-1,2\n0,0,3\n"),
+    "detector_tau_out_of_range": ("detector", "tau,j,count\n3,-1,2\n0,0,3\n0,1,0\n"),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_rejected(self, tmp_path, case):
+        kind, text = MALFORMED[case]
+        n = text.count("\n") - 1
+        csv_path = _write_log(tmp_path, kind, n)
+        csv_path.write_text(text)
+        with pytest.raises((CorruptData, SchemaMismatch)):
+            load_events(csv_path)
+        if kind == "sg":
+            assert run_command(["sg", "fit", str(tmp_path)]) == 2
+        elif kind == "eprb":
+            assert run_command(["eprb", "test", str(tmp_path)]) == 2
+            assert run_command(["eprb", "test", str(csv_path), "--a1", "0,0,1",
+                                "--a2", "1,0,0"]) == 2
 
 
 class TestOperatorPersistence:
@@ -209,6 +327,25 @@ class TestCli:
             ["eprb", "test", str(path), "--a1", "0,0,1", "--a2", "1,0,0"]
         )
         assert code == 3
+
+    def test_eprb_marginal_failure_line_reads_fail(self, tmp_path, capsys):
+        # <xy> = 0 passes the singlet test at orthogonal settings; x = +1 always
+        # fails the marginal test, so the line verdict must read FAIL.
+        path = tmp_path / "ext.csv"
+        path.write_text("index,x,y\n" + "".join(
+            f"{i},1,{1 if i % 2 else -1}\n" for i in range(1000)
+        ))
+        code = run_command(["eprb", "test", str(path), "--a1", "0,0,1", "--a2", "1,0,0"])
+        line = capsys.readouterr().out.strip()
+        assert code == 3
+        assert "singlet_sigma=0.000" in line and line.endswith("FAIL")
+
+    def test_python_dash_m_runs_cli(self, tmp_path):
+        env = {"PYTHONPATH": str(Path(li_qt.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "li_qt", "report", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert "no manifest.json" in proc.stderr
 
     def test_separate_sg_cli(self, tmp_path):
         m = UnitVector3(0.6, 0.0, 0.8)
