@@ -20,7 +20,6 @@ from .errors import (
     CorruptData,
     DegenerateProbability,
     EmptyLog,
-    ImpossibleData,
     InsufficientData,
     InsufficientDesign,
     MismatchedDimensions,
@@ -39,7 +38,6 @@ __all__ = [
     "CorruptData",
     "DegenerateProbability",
     "EmptyLog",
-    "ImpossibleData",
     "InsufficientData",
     "InsufficientDesign",
     "MismatchedDimensions",

@@ -19,14 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from . import sg_experiment
 from .errors import EmptyLog
-from .inference_core import CountTable, DichotomicModel, ExperimentConditions
-from .sg_experiment import RobustFit, UnitVector3
+from .inference_core import CountTable, ExperimentConditions
+from .sg_experiment import UnitVector3
 
 PAIR_SPACE = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -220,17 +218,6 @@ def singlet_compliance_test(log: PairEventLog) -> tuple[float, bool]:
     return singlet_compliance_from_counts(log.count_table(), log.a1, log.a2)
 
 
-def fisher_pair(model: DichotomicModel, theta: float) -> float:
-    """Fisher information of the pair-correlation model E12(theta).
-
-    Algebraically identical to the single-magnet case, so it shares the
-    implementation.
-    """
-    from .inference_core import fisher_dichotomic
-
-    return fisher_dichotomic(model, theta)
-
-
 def log_pair_iprob(log: PairEventLog, correlation_sign: int = -1) -> float:
     """Sum over events of log P(x_i, y_i | a1, a2): the product-rule i-prob."""
     probs = pair_probabilities(log.a1, log.a2, correlation_sign)
@@ -240,13 +227,3 @@ def log_pair_iprob(log: PairEventLog, correlation_sign: int = -1) -> float:
     if np.any(p_per_event == 0.0):
         return -math.inf
     return float(np.sum(np.log(p_per_event)))
-
-
-def fit_pair_correlation(
-    thetas: Sequence[float],
-    e12_hats: Sequence[float],
-    k_max: int = 8,
-    stderrs: Sequence[float] | None = None,
-) -> RobustFit:
-    """Fit E12(theta) = cos(K theta + phi); delegates to the SG fitter."""
-    return sg_experiment.fit_robust_solution(thetas, e12_hats, k_max, stderrs)

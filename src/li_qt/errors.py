@@ -10,14 +10,6 @@ class MismatchedDimensions(ValueError):
     """Count table and probability vector disagree in length or ordering."""
 
 
-class ImpossibleData(ValueError):
-    """Counts assign events to outcomes of zero probability.
-
-    Log-likelihood code returns -inf instead of raising this; the class
-    exists for callers that want to reject such data up front.
-    """
-
-
 class DegenerateProbability(ValueError):
     """A probability sits at 0 or 1 where the operation needs (0, 1)."""
 

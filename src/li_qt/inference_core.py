@@ -36,8 +36,6 @@ EPSILON_BOUND = math.pi / 8
 #: Centered-difference step for expectation derivatives without a closed form.
 DERIVATIVE_STEP = 1e-5
 
-OUTCOMES = (1, -1)
-
 
 def validate_outcome(x: int) -> int:
     """Return x if it is a valid dichotomic outcome, else raise ValueError."""
@@ -126,8 +124,8 @@ class DichotomicModel:
     @classmethod
     def robust(cls, k_winding: int, phi: float) -> "DichotomicModel":
         """Closed-form robust solution E(theta) = cos(K theta + phi)."""
-        if k_winding < 0 or k_winding != int(k_winding):
-            raise ValueError("winding number must be a nonnegative integer")
+        if k_winding < 1 or k_winding != int(k_winding):
+            raise ValueError("winding number must be an integer K >= 1")
         if not (math.isclose(phi, 0.0, abs_tol=1e-15) or math.isclose(phi, math.pi, rel_tol=0, abs_tol=1e-15)):
             raise ValueError("phase offset must be 0 or pi")
         k = int(k_winding)
@@ -137,10 +135,6 @@ class DichotomicModel:
             phi=float(phi),
             derivative_fn=lambda theta: -k * math.sin(k * theta + phi),
         )
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[float], float]) -> "DichotomicModel":
-        return cls(fn)
 
     @classmethod
     def empirical(cls, counts: CountTable) -> "DichotomicModel":

@@ -6,8 +6,10 @@ seeds, library version, RNG algorithm, timestamp, and a sha256 digest of
 every output file.  Re-running with the same configuration and seeds
 reproduces the CSV outputs byte for byte.
 
-Exit codes: 0 success, 2 usage or validation error, 3 numerical-contract
-failure (failed compliance test, non-separable data, digest mismatch).
+Exit codes: 0 success, 2 usage or validation error (any ``ValueError`` or
+``OSError``), 3 numerical-contract failure (any ``RuntimeError``: boundary
+contact, unstable step, no signal, non-separable data; also a failed
+compliance test or digest mismatch).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, eprb_experiment, separation, sg_experiment, wave_dynamics
-from .errors import CorruptData, NonSeparable, NoSignal, SchemaMismatch
+from .errors import CorruptData, SchemaMismatch
 from .inference_core import ExperimentConditions
 from .sg_experiment import EventLog, UnitVector3
 from .eprb_experiment import PairEventLog
@@ -46,16 +48,17 @@ EXIT_USAGE = 2
 EXIT_CONTRACT = 3
 
 
-# -- sidecar / csv persistence ---------------------------------------------------
+# -- json / csv persistence ------------------------------------------------------
 
-def _write_sidecar(path: Path, payload: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
+def _write_json(path: Path, payload: dict) -> Path:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
 
 
-def _read_sidecar(path: Path) -> dict:
-    data = json.loads(path.read_text())
-    if data.get("schema_version") != SCHEMA_VERSION:
+def _read_json(path: Path) -> dict:
+    """A JSON object that declares the current ``schema_version``."""
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict) or data.get("schema_version") != SCHEMA_VERSION:
         raise SchemaMismatch(f"{path}: unsupported schema version")
     return data
 
@@ -75,7 +78,12 @@ _SCHEMAS = {
         None,
     ),
 }
-_LOG_KINDS = ("sg", "eprb", "detector")
+# log kind -> the sidecar fields its loader reads.
+_SIDECAR_FIELDS = {
+    "sg": ("n", "seed", "theta", "a", "m"),
+    "eprb": ("n", "seed", "theta", "a1", "a2"),
+    "detector": ("k_det", "n_slices", "n_repeats"),
+}
 
 
 def _write_table(path: Path, kind: str, columns: list[np.ndarray]) -> None:
@@ -116,8 +124,9 @@ def _read_table(path: Path, kind: str) -> np.ndarray:
 def _save(base: Path, kind: str, columns: list[np.ndarray], **meta) -> list[Path]:
     csv_path = base.with_suffix(".csv")
     _write_table(csv_path, kind, columns)
-    sidecar = base.with_suffix(".json")
-    _write_sidecar(sidecar, {"kind": kind, **meta})
+    sidecar = _write_json(
+        base.with_suffix(".json"), {"schema_version": SCHEMA_VERSION, "kind": kind, **meta}
+    )
     return [csv_path, sidecar]
 
 
@@ -177,10 +186,13 @@ def load_events(base: Path) -> EventLog | PairEventLog | DetectorData:
     for path in (sidecar_path, csv_path):
         if not path.exists():
             raise SchemaMismatch(f"missing file {path}")
-    meta = _read_sidecar(sidecar_path)
+    meta = _read_json(sidecar_path)
     kind = meta.get("kind")
-    if kind not in _LOG_KINDS:
+    if kind not in _SIDECAR_FIELDS:
         raise SchemaMismatch(f"{sidecar_path}: unknown log kind {kind!r}")
+    missing = [key for key in _SIDECAR_FIELDS[kind] if key not in meta]
+    if missing:
+        raise SchemaMismatch(f"{sidecar_path}: {kind} sidecar lacks {missing}")
     rows = _read_table(csv_path, kind)
     if kind == "detector":
         k_det = int(meta["k_det"])
@@ -227,21 +239,11 @@ def load_external_pair_csv(
 
 def save_operator(op: separation.HermitianOperator, path: Path) -> Path:
     entries = [[[float(z.real), float(z.imag)] for z in row] for row in op.matrix]
-    path.write_text(
-        json.dumps(
-            {"schema_version": SCHEMA_VERSION, "dim": op.dim, "entries": entries},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    return path
+    return _write_json(path, {"schema_version": SCHEMA_VERSION, "dim": op.dim, "entries": entries})
 
 
 def load_operator(path: Path) -> separation.HermitianOperator:
-    data = json.loads(Path(path).read_text())
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaMismatch(f"{path}: unsupported schema version")
+    data = _read_json(path)
     entries = np.array(
         [[complex(re, im) for re, im in row] for row in data["entries"]]
     )
@@ -270,9 +272,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, outputs: list[Path
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_json(out_dir / "manifest.json", manifest)
 
 
 def verify_manifest(out_dir: Path) -> list[str]:
@@ -292,45 +292,6 @@ def verify_manifest(out_dir: Path) -> list[str]:
 
 class ConfigError(ValueError):
     pass
-
-
-def _walk_parsers(parser: argparse.ArgumentParser):
-    yield parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for child in action.choices.values():
-                yield from _walk_parsers(child)
-
-
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Pull --config FILE out of argv and fold its values into the defaults.
-
-    Defaults are installed on every (sub)parser that owns the key, since
-    subparsers parse into a fresh namespace.  Unknown keys in the file are
-    rejected so typos cannot silently pass.
-    """
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    try:
-        cfg_path = argv[idx + 1]
-    except IndexError as exc:
-        raise ConfigError("--config needs a file argument") from exc
-    argv = argv[:idx] + argv[idx + 2 :]
-    data = json.loads(Path(cfg_path).read_text())
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
-    applied = set()
-    for node in _walk_parsers(parser):
-        dests = {action.dest for action in node._actions}
-        matching = {k: v for k, v in data.items() if k in dests}
-        if matching:
-            node.set_defaults(**matching)
-            applied |= set(matching)
-    unknown = set(data) - applied
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return argv
 
 
 def _fallback_seed(value: int | None) -> int:
@@ -357,6 +318,12 @@ def _parse_theta_grid(text: str) -> np.ndarray:
     return np.array([float(text)])
 
 
+def _config(args: argparse.Namespace, **resolved) -> dict:
+    """A manifest's ``config``: every parsed flag, with ``resolved`` values substituted."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "subcommand", "func")}
+    return {**flags, **resolved}
+
+
 # -- subcommand implementations --------------------------------------------------------
 
 def _cmd_sg_run(args) -> int:
@@ -373,14 +340,7 @@ def _cmd_sg_run(args) -> int:
         outputs += save_event_log(log, out / f"sg_{i:03d}")
         e_hat, stderr = sg_experiment.estimate_expectation(log)
         print(f"theta={theta:.6f} n={args.n} e_hat={e_hat:+.6f} stderr={stderr:.2e}")
-    config = {
-        "theta_grid": args.theta_grid,
-        "n": args.n,
-        "seed": seed,
-        "m_direction": args.m_direction,
-        "sign": args.sign,
-    }
-    write_manifest(out, "sg run", config, outputs)
+    write_manifest(out, "sg run", _config(args, seed=seed), outputs)
     return EXIT_OK
 
 
@@ -388,8 +348,7 @@ def _cmd_sg_fit(args) -> int:
     logdir = Path(args.logdir)
     sidecars = sorted(logdir.glob("sg_*.json"))
     if not sidecars:
-        print(f"no sg_*.json logs under {logdir}", file=sys.stderr)
-        return EXIT_USAGE
+        raise FileNotFoundError(f"no sg_*.json logs under {logdir}")
     thetas, e_hats, stderrs = [], [], []
     for sidecar in sidecars:
         log = load_events(sidecar)
@@ -397,14 +356,8 @@ def _cmd_sg_fit(args) -> int:
         thetas.append(log.theta)
         e_hats.append(e_hat)
         stderrs.append(stderr)
-    try:
-        fit = sg_experiment.fit_robust_solution(
-            thetas, e_hats, k_max=args.k_max, stderrs=stderrs
-        )
-    except NoSignal as exc:
-        print(f"no signal: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    result = {
+    fit = sg_experiment.fit_robust_solution(thetas, e_hats, k_max=args.k_max, stderrs=stderrs)
+    _write_json(logdir / "fit.json", {
         "k_winding": fit.k_winding,
         "phi": fit.phi,
         "residual": fit.residual,
@@ -412,8 +365,7 @@ def _cmd_sg_fit(args) -> int:
         "thetas": thetas,
         "e_hats": e_hats,
         "stderrs": stderrs,
-    }
-    (logdir / "fit.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    })
     print(
         f"K={fit.k_winding} phi={fit.phi:.6f} residual={fit.residual:.3e} "
         f"fisher={fit.fisher:.1f}"
@@ -441,13 +393,7 @@ def _cmd_eprb_run(args) -> int:
             f"theta={theta:.6f} n={args.n} xy_mean={report.xy_mean:+.6f} "
             f"x_mean={report.x_mean:+.6f} y_mean={report.y_mean:+.6f}"
         )
-    config = {
-        "theta_grid": args.theta_grid,
-        "n": args.n,
-        "seed": seed,
-        "correlation_sign": args.correlation_sign,
-    }
-    write_manifest(out, "eprb run", config, outputs)
+    write_manifest(out, "eprb run", _config(args, seed=seed), outputs)
     return EXIT_OK
 
 
@@ -455,6 +401,8 @@ def _iter_pair_logs(args) -> list[PairEventLog]:
     source = Path(args.source)
     if source.is_dir():
         sidecars = sorted(source.glob("eprb_*.json"))
+        if not sidecars:
+            raise FileNotFoundError(f"no eprb_*.json logs under {source}")
         return [load_events(p) for p in sidecars]
     if args.a1 is None or args.a2 is None:
         raise ConfigError("external CSV input needs --a1 and --a2")
@@ -463,9 +411,6 @@ def _iter_pair_logs(args) -> list[PairEventLog]:
 
 def _cmd_eprb_report(args) -> int:
     logs = _iter_pair_logs(args)
-    if not logs:
-        print("no pair logs found", file=sys.stderr)
-        return EXIT_USAGE
     rows = []
     for log in logs:
         rep = eprb_experiment.correlation_report(log)
@@ -488,9 +433,6 @@ def _cmd_eprb_report(args) -> int:
 
 def _cmd_eprb_test(args) -> int:
     logs = _iter_pair_logs(args)
-    if not logs:
-        print("no pair logs found", file=sys.stderr)
-        return EXIT_USAGE
     all_pass = True
     for log in logs:
         sigma, ok = eprb_experiment.singlet_compliance_test(log)
@@ -509,29 +451,25 @@ def _design(rows: np.ndarray) -> list[tuple[UnitVector3, UnitVector3]]:
     return [(UnitVector3(*r[0:3]), UnitVector3(*r[3:6])) for r in rows.tolist()]
 
 
+def _write_separation(args, command: str, rho: separation.HermitianOperator, summary: dict) -> None:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    outputs = [save_operator(rho, out / "rho.json"), _write_json(out / "separation.json", summary)]
+    write_manifest(out, command, _config(args), outputs)
+
+
 def _cmd_separate_sg(args) -> int:
     rows = _read_table(args.input, "sg_correlations")
-    try:
-        result = separation.separate_sg(rows[:, 6], _design(rows), noise_floor=args.noise_floor)
-    except NonSeparable as exc:
-        print(f"non-separable: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
+    result = separation.separate_sg(rows[:, 6], _design(rows), noise_floor=args.noise_floor)
     rho = separation.HermitianOperator(
         (separation.IDENTITY_2 + separation.pauli_vector(result.m_est)) / 2
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = [save_operator(rho, out / "rho.json")]
-    summary = {
+    _write_separation(args, "separate sg", rho, {
         "m_est": [float(v) for v in result.m_est],
         "u0": result.u0,
         "residual": result.residual,
         "trivial_signal": result.trivial_signal,
-    }
-    summary_path = out / "separation.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    outputs.append(summary_path)
-    write_manifest(out, "separate sg", {"input": str(args.input)}, outputs)
+    })
     print(
         f"m_est=({result.m_est[0]:+.6f}, {result.m_est[1]:+.6f}, {result.m_est[2]:+.6f}) "
         f"u0={result.u0:+.2e} residual={result.residual:.2e}"
@@ -542,28 +480,15 @@ def _cmd_separate_sg(args) -> int:
 
 def _cmd_separate_eprb(args) -> int:
     rows = _read_table(args.input, "eprb_correlations")
-    try:
-        result = separation.separate_eprb(
-            _design(rows), *rows[:, 6:9].T, noise_floor=args.noise_floor
-        )
-    except NonSeparable as exc:
-        print(f"non-separable: {exc}", file=sys.stderr)
-        return EXIT_CONTRACT
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = [save_operator(result.rho(), out / "rho.json")]
-    summary = {
+    result = separation.separate_eprb(_design(rows), *rows[:, 6:9].T, noise_floor=args.noise_floor)
+    _write_separation(args, "separate eprb", result.rho(), {
         "rho0": result.coeffs.rho0,
         "rho1": [float(v) for v in result.coeffs.rho1],
         "rho2": [float(v) for v in result.coeffs.rho2],
         "rho12": [[float(v) for v in row] for row in result.coeffs.rho12],
         "residual": result.residual,
         "block_residuals": result.block_residuals,
-    }
-    summary_path = out / "separation.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    outputs.append(summary_path)
-    write_manifest(out, "separate eprb", {"input": str(args.input)}, outputs)
+    })
     print(f"rho0={result.coeffs.rho0:.6f} residual={result.residual:.2e}")
     return EXIT_OK
 
@@ -577,11 +502,7 @@ def _build_potential(kind: str, mass: float):
         table = json.loads(Path(kind[5:]).read_text())
         xs = np.asarray(table["x"], dtype=float)
         vs = np.asarray(table["v"], dtype=float)
-
-        def V(x, t, xs=xs, vs=vs):
-            return np.interp(x, xs, vs)
-
-        return V
+        return lambda x: np.interp(x, xs, vs)
     raise ConfigError(f"unknown potential {kind!r}")
 
 
@@ -618,17 +539,7 @@ def _cmd_evolve(args) -> int:
                     ]
                 )
         outputs.append(snap)
-    config = {
-        "grid": args.grid,
-        "potential": args.potential,
-        "lambda": params.lam,
-        "mass": params.mass,
-        "x0": args.x0,
-        "sigma0": args.sigma0,
-        "p0": args.p0,
-        "stride": args.stride,
-    }
-    write_manifest(out, "evolve", config, outputs)
+    write_manifest(out, "evolve", _config(args), outputs)
     print(
         f"stored {traj.psi.shape[0]} snapshots; final norm drift "
         f"{abs(traj.norms[-1] - traj.norms[0]):.2e}; energy drift "
@@ -639,7 +550,7 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_check_fq(args) -> int:
     grid = SpatialGrid(L=8.0, n_x=256, dt=1e-4, n_t=8)
-    params = PhysicalParams(potential=lambda x, t: 0.3 * np.cos(np.pi * x / 8))
+    params = PhysicalParams(potential=lambda x: 0.3 * np.cos(np.pi * x / 8))
     worst = 0.0
     for trial in range(args.trials):
         fields = wave_dynamics.random_polar_fields(grid, n_slices=8, seed=args.seed + trial)
@@ -704,8 +615,11 @@ def _cmd_check_madelung(args) -> int:
         )
     ratio_c = reports[0].continuity_rms / reports[1].continuity_rms
     ratio_q = reports[0].quantum_hj_rms / reports[1].quantum_hj_rms
-    print(f"refinement ratios: continuity x{ratio_c:.2f}, quantum HJ x{ratio_q:.2f}")
-    ok = ratio_c > 2.0 and ratio_q > 2.0
+    print(
+        f"refinement ratios: continuity x{ratio_c:.2f}, quantum HJ x{ratio_q:.2f} "
+        "(2nd order: both in (2.5, 8))"
+    )
+    ok = 2.5 < ratio_c < 8.0 and 2.5 < ratio_q < 8.0
     return EXIT_OK if ok else EXIT_CONTRACT
 
 
@@ -713,8 +627,7 @@ def _cmd_report(args) -> int:
     out_dir = Path(args.rundir)
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
-        print(f"no manifest.json under {out_dir}", file=sys.stderr)
-        return EXIT_USAGE
+        raise FileNotFoundError(f"no manifest.json under {out_dir}")
     manifest = json.loads(manifest_path.read_text())
     print(f"command:  {manifest['command']}")
     print(f"version:  {manifest['library_version']} (rng {manifest['rng_algorithm']})")
@@ -735,122 +648,148 @@ def _cmd_report(args) -> int:
 
 # -- parser ---------------------------------------------------------------------------
 
+_GROUPS = {
+    "sg": "Stern-Gerlach experiment",
+    "eprb": "EPRB pair experiment",
+    "separate": "operator separation",
+    "check": "numerical property checks",
+}
+_PAIR_SOURCE = (
+    ("source", {"help": "log directory or external index,x,y CSV"}),
+    ("--a1", {"help": "needed for external CSV"}),
+    ("--a2", {"help": "needed for external CSV"}),
+)
+_SEPARATE = (
+    ("--input", {"required": True}),
+    ("--noise-floor", {"type": float}),
+    ("--out", {"default": "separate_out"}),
+)
+
+# (group, subcommand or None for a top-level command, handler, help, arguments);
+# each argument is (name or flag, ``add_argument`` keywords).
+_COMMANDS = (
+    ("sg", "run", _cmd_sg_run, "simulate event logs over a theta grid", (
+        ("--theta-grid", {"default": "0:3.141592653589793:16",
+                          "help": "single angle or start:stop:count (radians)"}),
+        ("--theta", {"dest": "theta_grid", "help": "alias for a single angle"}),
+        ("--n", {"type": int, "default": 10000}),
+        ("--seed", {"type": int}),
+        ("--m-direction", {"default": "0,0,1"}),
+        ("--sign", {"type": int, "choices": (1, -1), "default": 1,
+                    "help": "detector labelling convention"}),
+        ("--out", {"default": "sg_out"}),
+    )),
+    ("sg", "fit", _cmd_sg_fit, "fit cos(K theta + phi) to a log directory", (
+        ("logdir", {}),
+        ("--k-max", {"type": int, "default": 8}),
+    )),
+    ("eprb", "run", _cmd_eprb_run, "simulate pair logs over a theta grid", (
+        ("--theta-grid", {"default": "0:3.141592653589793:12"}),
+        ("--theta", {"dest": "theta_grid"}),
+        ("--n", {"type": int, "default": 10000}),
+        ("--seed", {"type": int}),
+        ("--correlation-sign", {"choices": ("+", "-"), "default": "-"}),
+        ("--out", {"default": "eprb_out"}),
+    )),
+    ("eprb", "report", _cmd_eprb_report, "correlation report for logs",
+     _PAIR_SOURCE + (("--out", {"help": "optional CSV output path"}),)),
+    ("eprb", "test", _cmd_eprb_test, "singlet compliance and marginal tests", _PAIR_SOURCE),
+    ("separate", "sg", _cmd_separate_sg, "separate single-magnet correlations", _SEPARATE),
+    ("separate", "eprb", _cmd_separate_eprb, "separate pair correlations", _SEPARATE),
+    ("evolve", None, _cmd_evolve, "Crank-Nicolson evolution", (
+        ("--potential", {"default": "free",
+                         "help": "free | harmonic | file:PATH (JSON {x: [...], v: [...]})"}),
+        ("--lambda", {"type": float, "default": 4.0}),
+        ("--mass", {"type": float, "default": 1.0}),
+        ("--grid", {"default": "10,512,0.001,1000", "help": "L,n_x,dt,n_t"}),
+        ("--x0", {"type": float, "default": 0.0}),
+        ("--sigma0", {"type": float, "default": 1.0}),
+        ("--p0", {"type": float, "default": 0.0}),
+        ("--stride", {"type": int, "default": 100}),
+        ("--allow-boundary", {"action": "store_true"}),
+        ("--out", {"default": "evolve_out"}),
+    )),
+    ("check", "fq", _cmd_check_fq, "F and Q functional equivalence", (
+        ("--trials", {"type": int, "default": 50}),
+        ("--seed", {"type": int, "default": 0}),
+    )),
+    ("check", "fisher", _cmd_check_fisher, "Gaussian Fisher identities", ()),
+    ("check", "madelung", _cmd_check_madelung, "hydrodynamic residual convergence", ()),
+    ("report", None, _cmd_report, "summarize and verify a run directory", (
+        ("rundir", {}),
+        ("--verify", {"action": "store_true"}),
+    )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="li-qt",
         description="Robust dichotomic experiments, operator separation, and the linear evolver.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sg = sub.add_parser("sg", help="Stern-Gerlach experiment").add_subparsers(
-        dest="subcommand", required=True
-    )
-    sg_run = sg.add_parser("run", help="simulate event logs over a theta grid")
-    sg_run.add_argument("--theta-grid", default="0:3.141592653589793:16",
-                        help="single angle or start:stop:count (radians)")
-    sg_run.add_argument("--theta", dest="theta_grid", help="alias for a single angle")
-    sg_run.add_argument("--n", type=int, default=10000)
-    sg_run.add_argument("--seed", type=int, default=None)
-    sg_run.add_argument("--m-direction", default="0,0,1")
-    sg_run.add_argument("--sign", type=int, choices=(1, -1), default=1,
-                        help="detector labelling convention")
-    sg_run.add_argument("--out", default="sg_out")
-    sg_run.set_defaults(func=_cmd_sg_run)
-
-    sg_fit = sg.add_parser("fit", help="fit cos(K theta + phi) to a log directory")
-    sg_fit.add_argument("logdir")
-    sg_fit.add_argument("--k-max", type=int, default=8)
-    sg_fit.set_defaults(func=_cmd_sg_fit)
-
-    eprb = sub.add_parser("eprb", help="EPRB pair experiment").add_subparsers(
-        dest="subcommand", required=True
-    )
-    eprb_run = eprb.add_parser("run", help="simulate pair logs over a theta grid")
-    eprb_run.add_argument("--theta-grid", default="0:3.141592653589793:12")
-    eprb_run.add_argument("--theta", dest="theta_grid")
-    eprb_run.add_argument("--n", type=int, default=10000)
-    eprb_run.add_argument("--seed", type=int, default=None)
-    eprb_run.add_argument("--correlation-sign", choices=("+", "-"), default="-")
-    eprb_run.add_argument("--out", default="eprb_out")
-    eprb_run.set_defaults(func=_cmd_eprb_run)
-
-    for name, func, help_text in (
-        ("report", _cmd_eprb_report, "correlation report for logs"),
-        ("test", _cmd_eprb_test, "singlet compliance and marginal tests"),
-    ):
-        p = eprb.add_parser(name, help=help_text)
-        p.add_argument("source", help="log directory or external index,x,y CSV")
-        p.add_argument("--a1", default=None, help="needed for external CSV")
-        p.add_argument("--a2", default=None, help="needed for external CSV")
-        if name == "report":
-            p.add_argument("--out", default=None, help="optional CSV output path")
-        p.set_defaults(func=func)
-
-    sep = sub.add_parser("separate", help="operator separation").add_subparsers(
-        dest="subcommand", required=True
-    )
-    sep_sg = sep.add_parser("sg", help="separate single-magnet correlations")
-    sep_sg.add_argument("--input", required=True)
-    sep_sg.add_argument("--noise-floor", type=float, default=None)
-    sep_sg.add_argument("--out", default="separate_out")
-    sep_sg.set_defaults(func=_cmd_separate_sg)
-    sep_ep = sep.add_parser("eprb", help="separate pair correlations")
-    sep_ep.add_argument("--input", required=True)
-    sep_ep.add_argument("--noise-floor", type=float, default=None)
-    sep_ep.add_argument("--out", default="separate_out")
-    sep_ep.set_defaults(func=_cmd_separate_eprb)
-
-    evolve = sub.add_parser("evolve", help="Crank-Nicolson evolution")
-    evolve.add_argument("--potential", default="free",
-                        help="free | harmonic | file:PATH (JSON {x: [...], v: [...]})")
-    evolve.add_argument("--lambda", type=float, default=4.0, dest="lambda")
-    evolve.add_argument("--mass", type=float, default=1.0)
-    evolve.add_argument("--grid", default="10,512,0.001,1000", help="L,n_x,dt,n_t")
-    evolve.add_argument("--x0", type=float, default=0.0)
-    evolve.add_argument("--sigma0", type=float, default=1.0)
-    evolve.add_argument("--p0", type=float, default=0.0)
-    evolve.add_argument("--stride", type=int, default=100)
-    evolve.add_argument("--allow-boundary", action="store_true")
-    evolve.add_argument("--out", default="evolve_out")
-    evolve.set_defaults(func=_cmd_evolve)
-
-    check = sub.add_parser("check", help="numerical property checks").add_subparsers(
-        dest="subcommand", required=True
-    )
-    fq = check.add_parser("fq", help="F and Q functional equivalence")
-    fq.add_argument("--trials", type=int, default=50)
-    fq.add_argument("--seed", type=int, default=0)
-    fq.set_defaults(func=_cmd_check_fq)
-    fisher = check.add_parser("fisher", help="Gaussian Fisher identities")
-    fisher.set_defaults(func=_cmd_check_fisher)
-    madelung = check.add_parser("madelung", help="hydrodynamic residual convergence")
-    madelung.set_defaults(func=_cmd_check_madelung)
-
-    report = sub.add_parser("report", help="summarize and verify a run directory")
-    report.add_argument("rundir")
-    report.add_argument("--verify", action="store_true")
-    report.set_defaults(func=_cmd_report)
-
+    groups = {}
+    for group, name, func, help_text, arguments in _COMMANDS:
+        if name is None:
+            command = sub.add_parser(group, help=help_text)
+        else:
+            if group not in groups:
+                groups[group] = sub.add_parser(group, help=_GROUPS[group]).add_subparsers(
+                    dest="subcommand", required=True
+                )
+            command = groups[group].add_parser(name, help=help_text)
+        for flag, options in arguments:
+            command.add_argument(flag, **options)
+        command.set_defaults(func=func)
     return parser
+
+
+def _expand_config(argv: list[str]) -> list[str]:
+    """Replace ``--config FILE`` in ``argv`` by the flags its JSON object sets.
+
+    The flags go right after the command words, ahead of the command line's
+    own flags, which therefore override them; argparse checks both alike.
+    Every key must be the destination of some command's flag, so typos cannot
+    silently pass.  Keys of other commands, and null values, set nothing.
+    """
+    if "--config" not in argv:
+        return argv
+    idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise ConfigError("--config needs a file argument")
+    data = json.loads(Path(argv[idx + 1]).read_text())
+    if not isinstance(data, dict):
+        raise ConfigError("config file must hold a JSON object")
+    argv = argv[:idx] + argv[idx + 2:]
+    flags = {  # command words -> {destination: flag}
+        (group,) if name is None else (group, name): {
+            opts.get("dest", flag[2:].replace("-", "_")): flag
+            for flag, opts in arguments if flag.startswith("--")
+        }
+        for group, name, _, _, arguments in _COMMANDS
+    }
+    unknown = set(data).difference(*flags.values())
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    words = next((w for w in flags if tuple(argv[:len(w)]) == w), ())
+    preset = [
+        flag if value is True else f"{flag}={value}"  # True switches a store_true flag on
+        for key, value in data.items()
+        if (flag := flags.get(words, {}).get(key)) and value is not None and value is not False
+    ]
+    return [*words, *preset, *argv[len(words):]]
 
 
 def run_command(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, list(argv))
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_expand_config(list(argv)))
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:  # ConfigError, SchemaMismatch, CorruptData, EmptyLog, ...
+        print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:  # includes SchemaMismatch, CorruptData, EmptyLog
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonSeparable as exc:
-        print(f"contract failure: {exc}", file=sys.stderr)
+    except RuntimeError as exc:  # the numerical-contract family of ``errors``
+        print(f"contract failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 
 

@@ -40,6 +40,8 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 IDENTITY_2 = np.eye(2, dtype=complex)
+# kron(sigma_l, sigma_k) at [k][l]: the sigma_1 . rho12 . sigma_2 basis, built once.
+_PAULI_PAIRS = [[np.kron(PAULI[l], PAULI[k]) for l in range(3)] for k in range(3)]
 
 
 def pauli_vector(v: Sequence[float]) -> np.ndarray:
@@ -112,7 +114,7 @@ class PauliCoefficients4:
         out += embed_particle2(pauli_vector(self.rho2))
         for k in range(3):
             for l in range(3):
-                out += self.rho12[k, l] * np.kron(PAULI[l], PAULI[k])
+                out += self.rho12[k, l] * _PAULI_PAIRS[k][l]
         return out
 
 
@@ -223,7 +225,7 @@ def build_eprb_operators(
     rho = (1 - sigma_1.sigma_2)/4 satisfies Tr rho = 1, Tr rho X = 0,
     Tr rho Y = 0 and Tr rho X Y = -a1.a2.
     """
-    sigma_dot_sigma = sum(np.kron(s, s) for s in PAULI)
+    sigma_dot_sigma = sum(_PAULI_PAIRS[k][k] for k in range(3))
     rho = (np.eye(4, dtype=complex) - sigma_dot_sigma) / 4
     xhat = embed_particle1(pauli_vector(a1.as_array()))
     yhat = embed_particle2(pauli_vector(a2.as_array()))

@@ -25,12 +25,14 @@ Numerical conventions
 ---------------------
 * Probability floor 1e-12: grid points with P below it are masked out of any
   expression with P in a denominator, and carry no phase.
-* Space derivatives: 2nd-order centered differences by default
-  (``x_scheme="fd"``); an FFT-based scheme (``x_scheme="spectral"``) is
-  available for fields periodic over the box of length n_x * dx, where it is
-  exact to roundoff for band-limited fields.  Time derivatives are always
-  centered differences on the stored slices with one-sided 2nd-order stencils
-  at the ends.
+* Space derivatives: 2nd-order centered differences with one-sided 2nd-order
+  stencils at the ends by default (``x_scheme="fd"``, ``np.gradient``); an
+  FFT-based scheme (``x_scheme="spectral"``) is available for fields periodic
+  over the box of length n_x * dx, where it is exact to roundoff for
+  band-limited fields.  Time derivatives are always the same finite
+  differences on the stored slices.
+* The potential V(x) is static: it is evaluated once on the grid and
+  broadcast over the time slices.
 * Single-slice fields are integrated with unit time weight (stationary
   checks); multi-slice fields use trapezoid weights spaced by the grid's dt.
 * The evolver uses Crank-Nicolson stepping with hard-wall (zero-Dirichlet)
@@ -140,31 +142,23 @@ class WaveField:
 
 @dataclass(frozen=True)
 class PhysicalParams:
-    """Mass, coupling lam, and the potential V(x, t) (energy units).
+    """Mass, coupling lam, and the static potential V(x) (energy units).
 
-    ``potential`` is an evaluator mapping (x array, t) to energies; None means
-    free evolution.  Set ``time_dependent=True`` if V actually varies with t,
-    otherwise it is evaluated once.
+    ``potential`` maps an x array to energies; None means free evolution.
     """
 
     mass: float = 1.0
     lam: float = 4.0
-    potential: Callable[[np.ndarray, float], np.ndarray] | None = None
-    time_dependent: bool = False
+    potential: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.mass <= 0 or self.lam <= 0:
             raise ValueError("mass and lam must be positive")
 
-    @property
-    def hbar_equivalent(self) -> float:
-        """The hbar value at which lam = 4/hbar^2."""
-        return 2.0 / math.sqrt(self.lam)
-
-    def potential_on(self, x: np.ndarray, t: float) -> np.ndarray:
+    def potential_on(self, x: np.ndarray) -> np.ndarray:
         if self.potential is None:
             return np.zeros_like(x)
-        return np.broadcast_to(np.asarray(self.potential(x, t), dtype=float), x.shape)
+        return np.broadcast_to(np.asarray(self.potential(x), dtype=float), x.shape)
 
 
 @dataclass(frozen=True)
@@ -189,25 +183,14 @@ class DetectorData:
 # -- derivatives and quadrature ------------------------------------------------
 
 def _d_time(f: np.ndarray, dt: float) -> np.ndarray:
-    """Centered time derivative, one-sided 2nd-order at the end slices."""
+    """Centered time derivative, one-sided 2nd-order at the end slices.
+
+    A single slice has zero derivative; two slices share their forward
+    difference.
+    """
     if f.shape[0] == 1:
         return np.zeros_like(f)
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2 * dt)
-    if f.shape[0] == 2:
-        out[0] = out[1] = (f[1] - f[0]) / dt
-        return out
-    out[0] = (-3 * f[0] + 4 * f[1] - f[2]) / (2 * dt)
-    out[-1] = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * dt)
-    return out
-
-
-def _d_space_fd(f: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty_like(f)
-    out[:, 1:-1] = (f[:, 2:] - f[:, :-2]) / (2 * dx)
-    out[:, 0] = (-3 * f[:, 0] + 4 * f[:, 1] - f[:, 2]) / (2 * dx)
-    out[:, -1] = (3 * f[:, -1] - 4 * f[:, -2] + f[:, -3]) / (2 * dx)
-    return out
+    return np.gradient(f, dt, axis=0, edge_order=min(2, f.shape[0] - 1))
 
 
 def _d_space_spectral(f: np.ndarray, dx: float) -> np.ndarray:
@@ -219,7 +202,7 @@ def _d_space_spectral(f: np.ndarray, dx: float) -> np.ndarray:
 
 def _d_space(f: np.ndarray, dx: float, scheme: str) -> np.ndarray:
     if scheme == "fd":
-        return _d_space_fd(f, dx)
+        return np.gradient(f, dx, axis=1, edge_order=2)
     if scheme == "spectral":
         return _d_space_spectral(f, dx)
     raise ValueError(f"unknown x-derivative scheme {scheme!r}")
@@ -349,7 +332,7 @@ def fisher_continuum(
 
 def hj_residual(
     S: np.ndarray,
-    V: Callable[[np.ndarray, float], np.ndarray] | None,
+    V: Callable[[np.ndarray], np.ndarray] | None,
     mass: float,
     grid: SpatialGrid,
     slice_dt: float | None = None,
@@ -358,10 +341,8 @@ def hj_residual(
     S2d = _promote(S, float)
     dt = grid.dt if slice_dt is None else slice_dt
     dSdt = _d_time(S2d, dt)
-    dSdx = _d_space_fd(S2d, grid.dx)
-    params = PhysicalParams(mass=mass, potential=V, time_dependent=V is not None)
-    times = grid.times(S2d.shape[0], dt)
-    V_field = np.stack([params.potential_on(grid.x, t) for t in times])
+    dSdx = _d_space(S2d, grid.dx, "fd")
+    V_field = 0.0 if V is None else V(grid.x)
     return dSdt + dSdx**2 / (2 * mass) + V_field
 
 
@@ -388,9 +369,7 @@ def functional_F(
 
     fisher_part = np.where(live, dP**2 / np.maximum(P, floor), 0.0)
     bracket = dSdt + dSdx**2 / (2 * params.mass)
-    times = grid.times(fields.n_slices)
-    V_field = np.stack([params.potential_on(grid.x, t) for t in times])
-    dynamic_part = 2 * params.mass * params.lam * (bracket + V_field) * P
+    dynamic_part = 2 * params.mass * params.lam * (bracket + params.potential_on(grid.x)) * P
     integrand = fisher_part + np.where(live, dynamic_part, 0.0)
     return _time_integral(_x_integral(integrand, grid.dx), grid.dt)
 
@@ -448,12 +427,10 @@ def functional_Q(
     stray_imag = float(np.max(np.abs(time_term.imag)))
     if stray_imag >= 1e-10:
         raise AssertionError(f"time term not real: residual imag {stray_imag:.2e}")
-    times = grid.times(psi.n_slices)
-    V_field = np.stack([params.potential_on(grid.x, t) for t in times])
     integrand = (
         time_term.real
         + 4 * np.abs(dpsi_dx) ** 2
-        + 2 * params.mass * params.lam * V_field * np.abs(arr) ** 2
+        + 2 * params.mass * params.lam * params.potential_on(grid.x) * np.abs(arr) ** 2
     )
     return _time_integral(_x_integral(integrand, grid.dx), grid.dt)
 
@@ -476,11 +453,8 @@ class TdseTrajectory:
     def slice_dt(self) -> float:
         return self.grid.dt * self.store_every
 
-    def wave_field(self) -> WaveField:
-        return WaveField(self.psi)
-
     def polar(self, floor: float = PROBABILITY_FLOOR) -> PolarField:
-        return wave_to_polar(self.wave_field(), self.params.lam, floor)
+        return wave_to_polar(self.psi, self.params.lam, floor)
 
 
 def gaussian_packet(
@@ -498,23 +472,21 @@ def gaussian_packet(
     return WaveField(psi)
 
 
-def harmonic_potential(omega: float = 1.0, mass: float = 1.0) -> Callable[[np.ndarray, float], np.ndarray]:
-    def V(x: np.ndarray, t: float) -> np.ndarray:
+def harmonic_potential(omega: float = 1.0, mass: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
+    def V(x: np.ndarray) -> np.ndarray:
         return 0.5 * mass * omega**2 * x**2
 
     return V
 
 
-def _hamiltonian_diagonals(
-    grid: SpatialGrid, params: PhysicalParams, t: float
-) -> tuple[np.ndarray, float]:
+def _hamiltonian_diagonals(grid: SpatialGrid, params: PhysicalParams) -> tuple[np.ndarray, float]:
     """Main diagonal and off-diagonal of M = (sqrt(lam)/2) H on interior points.
 
     The evolution equation is i dpsi/dt = M psi with
     M = -(1/(m sqrt(lam))) d^2/dx^2 + (sqrt(lam)/2) V.
     """
     kinetic = 1.0 / (params.mass * math.sqrt(params.lam))
-    V = params.potential_on(grid.x, t)[1:-1]
+    V = params.potential_on(grid.x)[1:-1]
     main = 2 * kinetic / grid.dx**2 + (math.sqrt(params.lam) / 2) * V
     off = -kinetic / grid.dx**2
     return main, off
@@ -538,6 +510,8 @@ def evolve_tdse(
     BoundaryContact if more than ``boundary_mass_limit`` probability collects
     within 5 cells of a wall.
     """
+    if store_every < 1:
+        raise ValueError(f"store_every (the snapshot stride) must be at least 1, got {store_every}")
     wave = psi0 if isinstance(psi0, WaveField) else WaveField(psi0)
     if wave.n_slices != 1:
         raise ValueError("psi0 must be a single slice")
@@ -563,19 +537,13 @@ def evolve_tdse(
     if abs(n0 - 1.0) > 1e-8:
         raise ValueError(f"psi0 must be normalized, got integral {n0:.10f}")
 
-    main, off = _hamiltonian_diagonals(grid, params, 0.5 * dt)
+    main, off = _hamiltonian_diagonals(grid, params)
+    if not (np.all(np.isfinite(main)) and math.isfinite(off)):
+        raise UnstableStep("operator is non-finite")
     ab = np.zeros((3, grid.n_x - 2), dtype=complex)
-
-    def refresh_matrix(t_mid: float):
-        nonlocal main, off
-        main, off = _hamiltonian_diagonals(grid, params, t_mid)
-        if not (np.all(np.isfinite(main)) and math.isfinite(off)):
-            raise UnstableStep(f"operator is non-finite at t = {t_mid:g}")
-        ab[0, 1:] = 0.5j * dt * off
-        ab[1, :] = 1.0 + 0.5j * dt * main
-        ab[2, :-1] = 0.5j * dt * off
-
-    refresh_matrix(0.5 * dt)
+    ab[0, 1:] = 0.5j * dt * off
+    ab[1, :] = 1.0 + 0.5j * dt * main
+    ab[2, :-1] = 0.5j * dt * off
 
     edge = min(5, grid.n_x // 4)
     stored = [psi.copy()]
@@ -584,8 +552,6 @@ def evolve_tdse(
     times = [0.0]
 
     for step in range(grid.n_t):
-        if params.time_dependent and step > 0:
-            refresh_matrix((step + 0.5) * dt)
         interior = psi[1:-1]
         rhs = (1.0 - 0.5j * dt * main) * interior
         rhs[1:] += -0.5j * dt * off * interior[:-1]
@@ -716,9 +682,9 @@ def check_madelung_extremum(
     S_safe = _align_slice_phases(np.where(np.isfinite(S), S, 0.0), P, branch)
 
     dPdt = _d_time(P, dt)
-    dSdx = _d_space_fd(S_safe, grid.dx)
+    dSdx = _d_space(S_safe, grid.dx, "fd")
     flux = P * dSdx / params.mass
-    continuity = dPdt + _d_space_fd(flux, grid.dx)
+    continuity = dPdt + _d_space(flux, grid.dx, "fd")
 
     hbar2 = 4.0 / params.lam
     sqrtP = np.sqrt(np.maximum(P, 0.0))
@@ -728,9 +694,7 @@ def check_madelung_extremum(
         0.0,
     )
     dSdt = _d_time(S_safe, dt)
-    times = grid.times(fields.n_slices, dt)
-    V_field = np.stack([params.potential_on(grid.x, t) for t in times])
-    qhj = dSdt + dSdx**2 / (2 * params.mass) + V_field + quantum_potential
+    qhj = dSdt + dSdx**2 / (2 * params.mass) + params.potential_on(grid.x) + quantum_potential
 
     # Spatial stencils straddle the mask edge; drop a one-cell margin.
     interior_mask = mask & np.roll(mask, 1, axis=1) & np.roll(mask, -1, axis=1)

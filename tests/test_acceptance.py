@@ -27,14 +27,9 @@ from li_qt.sg_experiment import UnitVector3
 from li_qt.wave_dynamics import (
     PhysicalParams,
     SpatialGrid,
-    check_madelung_extremum,
     evolve_tdse,
-    functional_F,
-    functional_Q,
     gaussian_packet,
     harmonic_potential,
-    polar_to_wave,
-    random_polar_fields,
 )
 
 Z = UnitVector3(0.0, 0.0, 1.0)
@@ -195,26 +190,15 @@ def test_criterion_06_non_separability():
     )
 
 
-def test_criterion_07_f_equals_q():
+def test_criterion_07_f_equals_q(capsys):
+    # Seeds 90000..90049; the command's gate is max relative |F - Q| < 1e-8.
     start = time.perf_counter()
-    grid = SpatialGrid(L=8.0, n_x=256, dt=1e-4, n_t=8)
-    params = PhysicalParams(potential=lambda x, t: 0.3 * np.cos(np.pi * x / 8))
-    worst = 0.0
-    for trial in range(50):
-        fields = random_polar_fields(grid, n_slices=8, seed=90_000 + trial)
-        F = functional_F(fields, params, grid, x_scheme="spectral")
-        Q = functional_Q(
-            polar_to_wave(fields, params.lam), params, grid, x_scheme="spectral"
-        )
-        worst = max(worst, abs(F - Q) / (abs(F) + abs(Q)))
-    _report(
-        7, "F equals Q", worst < 1e-8,
-        f"max relative |F - Q| = {worst:.2e} over 50 random smooth pairs",
-        time.perf_counter() - start, 5.0,
-    )
+    code = run_command(["check", "fq", "--trials", "50", "--seed", "90000"])
+    detail = capsys.readouterr().out.strip()
+    _report(7, "F equals Q", code == 0, detail, time.perf_counter() - start, 5.0)
 
 
-def test_criterion_08_linear_route():
+def test_criterion_08_linear_route(capsys):
     start = time.perf_counter()
     details = []
 
@@ -252,20 +236,10 @@ def test_criterion_08_linear_route():
     ok &= drift < 1e-10
     details.append(f"norm drift {drift:.1e}")
 
-    # Madelung residuals refine at 2nd order.
-    reports = []
-    for n_x, dt, n_t in ((256, 2e-3, 100), (512, 1e-3, 200)):
-        grid_m = SpatialGrid(L=8.0, n_x=n_x, dt=dt, n_t=n_t)
-        traj_m = evolve_tdse(gaussian_packet(grid_m), PhysicalParams(), grid_m,
-                             store_every=10)
-        reports.append(
-            check_madelung_extremum(traj_m.polar(), PhysicalParams(), grid_m,
-                                    slice_dt=traj_m.slice_dt)
-        )
-    ratio_c = reports[0].continuity_rms / reports[1].continuity_rms
-    ratio_q = reports[0].quantum_hj_rms / reports[1].quantum_hj_rms
-    ok &= 2.5 < ratio_c < 8.0 and 2.5 < ratio_q < 8.0
-    details.append(f"madelung ratios x{ratio_c:.1f}/x{ratio_q:.1f}")
+    # Madelung residuals refine at 2nd order: the command passes when both
+    # refinement ratios lie in (2.5, 8).
+    ok &= run_command(["check", "madelung"]) == 0
+    details.append(capsys.readouterr().out.strip().splitlines()[-1])
 
     _report(8, "linear route", ok, "; ".join(details),
             time.perf_counter() - start, 120.0)

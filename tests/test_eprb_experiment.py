@@ -11,8 +11,6 @@ from li_qt.eprb_experiment import (
     correlation_report,
     correlation_report_from_counts,
     eprb_probability,
-    fisher_pair,
-    fit_pair_correlation,
     log_pair_iprob,
     marginal_uniformity_test,
     pair_probabilities,
@@ -21,8 +19,13 @@ from li_qt.eprb_experiment import (
     singlet_compliance_from_counts,
     singlet_compliance_test,
 )
-from li_qt.inference_core import CountTable, DichotomicModel, log_multinomial_iprob
-from li_qt.sg_experiment import UnitVector3
+from li_qt.inference_core import (
+    CountTable,
+    DichotomicModel,
+    fisher_dichotomic,
+    log_multinomial_iprob,
+)
+from li_qt.sg_experiment import UnitVector3, fit_robust_solution
 
 Z = UnitVector3(0.0, 0.0, 1.0)
 X = UnitVector3(1.0, 0.0, 0.0)
@@ -186,15 +189,15 @@ class TestSingletCompliance:
 class TestFisherPair:
     def test_singlet_form(self):
         model = DichotomicModel.robust(1, math.pi)  # E12 = -cos(theta)
-        assert fisher_pair(model, 0.8) == pytest.approx(1.0, abs=1e-9)
+        assert fisher_dichotomic(model, 0.8) == pytest.approx(1.0, abs=1e-9)
 
     def test_double_winding(self):
         model = DichotomicModel.robust(2, 0.0)
-        assert fisher_pair(model, 0.3) == pytest.approx(4.0, abs=1e-9)
+        assert fisher_dichotomic(model, 0.3) == pytest.approx(4.0, abs=1e-9)
 
     def test_constant_zero(self):
         model = DichotomicModel(lambda theta: 0.2, derivative_fn=lambda theta: 0.0)
-        assert fisher_pair(model, 1.0) == 0.0
+        assert fisher_dichotomic(model, 1.0) == 0.0
 
 
 class TestProductStructure:
@@ -231,5 +234,5 @@ class TestFormRecovery:
             rep = correlation_report(log)
             e12s.append(rep.xy_mean)
             stderrs.append(rep.stderr_xy)
-        fit = fit_pair_correlation(thetas, e12s, stderrs=stderrs)
+        fit = fit_robust_solution(thetas, e12s, stderrs=stderrs)
         assert fit.k_winding == 1 and fit.phi == math.pi

@@ -220,7 +220,7 @@ class TestFisher:
         assert values[0] == pytest.approx(k * k, abs=1e-9)
 
     def test_finite_difference_fallback(self):
-        model = DichotomicModel.from_callable(lambda theta: math.cos(theta))
+        model = DichotomicModel(lambda theta: math.cos(theta))
         assert model.k_winding is None
         assert fisher_dichotomic(model, 1.0) == pytest.approx(1.0, abs=1e-6)
 
@@ -229,6 +229,11 @@ class TestModelConstructors:
     def test_robust_rejects_bad_phase(self):
         with pytest.raises(ValueError):
             DichotomicModel.robust(1, 0.3)
+
+    @pytest.mark.parametrize("k", [0, -1, 1.5])
+    def test_robust_winding_must_be_integer_at_least_one(self, k):
+        with pytest.raises(ValueError, match="K >= 1"):
+            DichotomicModel.robust(k, 0.0)
 
     def test_empirical_expectation_constant(self):
         model = DichotomicModel.empirical(CountTable.dichotomic(75, 25))

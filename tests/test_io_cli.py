@@ -188,7 +188,35 @@ MALFORMED = {
 }
 
 
+def _drop_sidecar_field(csv_path: Path, key: str) -> None:
+    sidecar = csv_path.with_suffix(".json")
+    meta = json.loads(sidecar.read_text())
+    del meta[key]
+    sidecar.write_text(json.dumps(meta))
+
+
+def _sg_correlations(path: Path, power: int = 1) -> Path:
+    """SG correlation table over a 12-point design; power 2 is not separable."""
+    rows = ["ax,ay,az,mx,my,mz,mean_x"] + [
+        f"{a.x!r},{a.y!r},{a.z!r},{m.x!r},{m.y!r},{m.z!r},{a.dot(m) ** power!r}"
+        for a, m in separation.sg_design(UnitVector3(0.6, 0.0, 0.8), 12)
+    ]
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 class TestMalformedFiles:
+    @pytest.mark.parametrize("kind,key", [("sg", "m"), ("eprb", "a2"), ("detector", "n_slices")])
+    def test_sidecar_missing_field(self, tmp_path, kind, key):
+        csv_path = _write_log(tmp_path, kind, 3)
+        _drop_sidecar_field(csv_path, key)
+        with pytest.raises(SchemaMismatch, match=key):
+            load_events(csv_path)
+        if kind == "sg":
+            assert run_command(["sg", "fit", str(tmp_path)]) == 2
+        elif kind == "eprb":
+            assert run_command(["eprb", "test", str(tmp_path)]) == 2
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_rejected(self, tmp_path, case):
         kind, text = MALFORMED[case]
@@ -348,15 +376,7 @@ class TestCli:
         assert "no manifest.json" in proc.stderr
 
     def test_separate_sg_cli(self, tmp_path):
-        m = UnitVector3(0.6, 0.0, 0.8)
-        design = separation.sg_design(m, 12)
-        rows = ["ax,ay,az,mx,my,mz,mean_x"]
-        for a, mm in design:
-            rows.append(
-                f"{a.x!r},{a.y!r},{a.z!r},{mm.x!r},{mm.y!r},{mm.z!r},{a.dot(mm)!r}"
-            )
-        path = tmp_path / "corr.csv"
-        path.write_text("\n".join(rows) + "\n")
+        path = _sg_correlations(tmp_path / "corr.csv")
         out = tmp_path / "sep"
         assert run_command(
             ["separate", "sg", "--input", str(path), "--out", str(out)]
@@ -365,15 +385,7 @@ class TestCli:
         assert result["m_est"] == pytest.approx([0.6, 0.0, 0.8], abs=1e-10)
 
     def test_separate_sg_nonseparable_exit_3(self, tmp_path):
-        m = UnitVector3(0.6, 0.0, 0.8)
-        design = separation.sg_design(m, 12)
-        rows = ["ax,ay,az,mx,my,mz,mean_x"]
-        for a, mm in design:
-            rows.append(
-                f"{a.x!r},{a.y!r},{a.z!r},{mm.x!r},{mm.y!r},{mm.z!r},{a.dot(mm)**2!r}"
-            )
-        path = tmp_path / "corr.csv"
-        path.write_text("\n".join(rows) + "\n")
+        path = _sg_correlations(tmp_path / "corr.csv", power=2)
         code = run_command(["separate", "sg", "--input", str(path),
                             "--out", str(tmp_path / "sep")])
         assert code == 3
@@ -413,3 +425,55 @@ class TestCli:
 
     def test_check_fq_small(self):
         assert run_command(["check", "fq", "--trials", "5"]) == 0
+
+    def test_manifest_config_records_every_flag(self, tmp_path):
+        assert run_command(["evolve", "--grid", "10,64,0.001,10", "--stride", "5",
+                            "--allow-boundary", "--out", str(tmp_path / "ev")]) == 0
+        assert run_command(["separate", "sg", "--input", str(_sg_correlations(tmp_path / "c.csv")),
+                            "--noise-floor", "0.01", "--out", str(tmp_path / "sep")]) == 0
+        evolve = json.loads((tmp_path / "ev" / "manifest.json").read_text())["config"]
+        separate = json.loads((tmp_path / "sep" / "manifest.json").read_text())["config"]
+        assert evolve["allow_boundary"] is True and evolve["stride"] == 5
+        assert separate["noise_floor"] == 0.01
+
+
+def _nan_potential(tmp: Path) -> list[str]:
+    (tmp / "v.json").write_text('{"x": [-10, 10], "v": [NaN, NaN]}')
+    return ["evolve", "--potential", f"file:{tmp / 'v.json'}", "--grid", "10,64,0.001,10"]
+
+
+def _sg_log_without_m(tmp: Path) -> list[str]:
+    assert run_command(["sg", "run", "--theta", "0.5", "--n", "100", "--seed", "1",
+                        "--out", str(tmp)]) == 0
+    _drop_sidecar_field(tmp / "sg_000.csv", "m")
+    return ["sg", "fit", str(tmp)]
+
+
+def _unknown_config_key(tmp: Path) -> list[str]:
+    (tmp / "cfg.json").write_text('{"bogus_knob": 1}')
+    return ["--config", str(tmp / "cfg.json"), "sg", "run", "--out", str(tmp)]
+
+
+EXIT_CASES = {
+    # id: (argv from a scratch directory, exit code, text stderr must hold)
+    "boundary_contact": (lambda tmp: ["evolve", "--grid", "10,512,0.001,1000", "--p0", "20"],
+                         3, "BoundaryContact"),
+    "nan_file_potential": (_nan_potential, 3, "UnstableStep"),
+    "stride_zero": (lambda tmp: ["evolve", "--grid", "10,64,0.001,10", "--stride", "0"],
+                    2, "stride"),
+    "sidecar_missing_field": (_sg_log_without_m, 2, "lacks ['m']"),
+    "unknown_config_key": (_unknown_config_key, 2, "bogus_knob"),
+    "non_separable": (lambda tmp: ["separate", "sg", "--input",
+                                   str(_sg_correlations(tmp / "corr.csv", power=2))],
+                      3, "NonSeparable"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_exit_codes(tmp_path, monkeypatch, capsys, case):
+    make_argv, expected, named = EXIT_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    code = run_command(make_argv(tmp_path))
+    stderr = capsys.readouterr().err
+    assert code in (0, 2, 3) and code == expected
+    assert named in stderr and "Traceback" not in stderr

@@ -187,7 +187,7 @@ class TestHamiltonJacobi:
         c = 1.3
         times = grid.times(11)
         S = np.broadcast_to(-c * times[:, None], (11, grid.n_x)).copy()
-        residual = hj_residual(S, lambda x, t: c, mass=1.0, grid=grid)
+        residual = hj_residual(S, lambda x: c, mass=1.0, grid=grid)
         assert np.max(np.abs(residual)) < 1e-12
 
     def test_velocity_field_matches_characteristics(self):
@@ -253,7 +253,7 @@ class TestFunctionalF:
 
     def test_matches_q_spectrally(self):
         grid = SpatialGrid(L=8.0, n_x=256, dt=1e-4, n_t=8)
-        params = PhysicalParams(potential=lambda x, t: 0.3 * np.cos(np.pi * x / 8))
+        params = PhysicalParams(potential=lambda x: 0.3 * np.cos(np.pi * x / 8))
         for seed in range(5):
             fields = random_polar_fields(grid, n_slices=8, seed=seed)
             F = functional_F(fields, params, grid, x_scheme="spectral")
@@ -429,7 +429,7 @@ class TestEvolver:
 
     def test_nan_potential_raises_unstable(self):
         grid = SpatialGrid(L=6.0, n_x=128, dt=1e-3, n_t=10)
-        params = PhysicalParams(potential=lambda x, t: np.full_like(x, np.nan))
+        params = PhysicalParams(potential=lambda x: np.full_like(x, np.nan))
         with pytest.raises(UnstableStep):
             evolve_tdse(gaussian_packet(grid), params, grid)
 
@@ -449,7 +449,7 @@ class TestEvolver:
             gaussian_packet(scaled_grid, x0=0.7),
             PhysicalParams(
                 lam=4.0 / c**2,
-                potential=lambda x, t: c**2 * harmonic_potential()(x, t),
+                potential=lambda x: c**2 * harmonic_potential()(x),
             ),
             scaled_grid,
             store_every=n_steps,
