@@ -23,10 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyLog
-from .inference_core import CountTable, ExperimentConditions
+from .inference_core import PAIR_SPACE, CountTable, ExperimentConditions
 from .sg_experiment import UnitVector3
-
-PAIR_SPACE = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,9 @@ EPSILON_BOUND = math.pi / 8
 #: Centered-difference step for expectation derivatives without a closed form.
 DERIVATIVE_STEP = 1e-5
 
+#: The four pair outcomes (x, y), in the order pair count tables use.
+PAIR_SPACE = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
 
 def validate_outcome(x: int) -> int:
     """Return x if it is a valid dichotomic outcome, else raise ValueError."""
@@ -65,10 +68,9 @@ class CountTable:
     outcome_space: tuple
 
     def __post_init__(self):
-        for key in self.counts:
+        for key, n in self.counts.items():
             if key not in self.outcome_space:
                 raise ValueError(f"count key {key!r} not in declared outcome space")
-        for key, n in self.counts.items():
             if n < 0 or n != int(n):
                 raise ValueError(f"count for {key!r} must be a nonnegative integer")
 
@@ -93,11 +95,10 @@ class CountTable:
     def from_pairs(cls, xs: Sequence[int], ys: Sequence[int]) -> "CountTable":
         xs = np.asarray(xs)
         ys = np.asarray(ys)
-        space = ((1, 1), (1, -1), (-1, 1), (-1, -1))
         counts = {
-            (x, y): int(np.sum((xs == x) & (ys == y))) for (x, y) in space
+            (x, y): int(np.sum((xs == x) & (ys == y))) for (x, y) in PAIR_SPACE
         }
-        return cls(counts, space)
+        return cls(counts, PAIR_SPACE)
 
 
 class DichotomicModel:

@@ -15,10 +15,10 @@ compliance test or digest mismatch).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -63,10 +63,17 @@ def _read_json(path: Path) -> dict:
     return data
 
 
+def _require(data: dict, keys: tuple[str, ...], path: Path) -> dict:
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise SchemaMismatch(f"{path}: lacks {missing}")
+    return data
+
+
 # kind -> (header, dtype, allowed values of every column after ``index``).  A
-# leading ``index`` column is written as, and must read back as, 0..n-1.  Rows
-# end in "\r\n" on write, the terminator csv.writer emitted, so the bytes are
-# unchanged; either line ending is accepted on read.
+# leading ``index`` column is written as, and must read back as, 0..n-1.  Cells
+# are written as %d (integer kinds) or %.17g (float kinds, so NaN reads "nan");
+# rows end in "\r\n" on write, either line ending is accepted on read.
 _SCHEMAS = {
     "sg": (("index", "outcome"), np.int64, (-1, 1)),
     "eprb": (("index", "x", "y"), np.int64, (-1, 1)),
@@ -77,6 +84,8 @@ _SCHEMAS = {
         np.float64,
         None,
     ),
+    "snapshot": (("x", "re_psi", "im_psi", "P", "S"), np.float64, None),
+    "eprb_report": (("theta", "xy_mean", "x_mean", "y_mean", "stderr_xy", "n"), np.float64, None),
 }
 # log kind -> the sidecar fields its loader reads.
 _SIDECAR_FIELDS = {
@@ -84,15 +93,19 @@ _SIDECAR_FIELDS = {
     "eprb": ("n", "seed", "theta", "a1", "a2"),
     "detector": ("k_det", "n_slices", "n_repeats"),
 }
+_MANIFEST_FIELDS = (
+    "command", "config", "library_version", "rng_algorithm", "created_utc", "outputs"
+)
 
 
 def _write_table(path: Path, kind: str, columns: list[np.ndarray]) -> None:
-    """Write integer ``columns`` (the index excluded) as the CSV table ``kind``."""
-    header = _SCHEMAS[kind][0]
+    """Write ``columns`` (the index excluded) as the CSV table ``kind``."""
+    header, dtype, _ = _SCHEMAS[kind]
     n = len(columns[0])
     if header[0] == "index":
         columns = [np.arange(n), *columns]
-    row = ",".join(["%d"] * len(header)) + "\r\n"
+    cell = "%d" if np.issubdtype(dtype, np.integer) else _FLOAT_FMT
+    row = ",".join([cell] * len(header)) + "\r\n"
     cells = tuple(np.column_stack(columns).ravel().tolist())
     path.write_text(",".join(header) + "\r\n" + (row * n) % cells, newline="")
 
@@ -190,9 +203,7 @@ def load_events(base: Path) -> EventLog | PairEventLog | DetectorData:
     kind = meta.get("kind")
     if kind not in _SIDECAR_FIELDS:
         raise SchemaMismatch(f"{sidecar_path}: unknown log kind {kind!r}")
-    missing = [key for key in _SIDECAR_FIELDS[kind] if key not in meta]
-    if missing:
-        raise SchemaMismatch(f"{sidecar_path}: {kind} sidecar lacks {missing}")
+    _require(meta, _SIDECAR_FIELDS[kind], sidecar_path)
     rows = _read_table(csv_path, kind)
     if kind == "detector":
         k_det = int(meta["k_det"])
@@ -275,9 +286,16 @@ def write_manifest(out_dir: Path, command: str, config: dict, outputs: list[Path
     return _write_json(out_dir / "manifest.json", manifest)
 
 
+def _read_manifest(out_dir: Path) -> dict:
+    path = Path(out_dir) / "manifest.json"
+    if not path.exists():
+        raise FileNotFoundError(f"no manifest.json under {out_dir}")
+    return _require(_read_json(path), _MANIFEST_FIELDS, path)
+
+
 def verify_manifest(out_dir: Path) -> list[str]:
     """Recompute output digests; return a list of mismatch descriptions."""
-    manifest = json.loads((Path(out_dir) / "manifest.json").read_text())
+    manifest = _read_manifest(out_dir)
     problems = []
     for name, recorded in manifest["outputs"].items():
         target = Path(out_dir) / name
@@ -295,8 +313,6 @@ class ConfigError(ValueError):
 
 
 def _fallback_seed(value: int | None) -> int:
-    import os
-
     if value is not None:
         return int(value)
     env = os.environ.get("LI_QT_SEED")
@@ -410,9 +426,8 @@ def _iter_pair_logs(args) -> list[PairEventLog]:
 
 
 def _cmd_eprb_report(args) -> int:
-    logs = _iter_pair_logs(args)
     rows = []
-    for log in logs:
+    for log in _iter_pair_logs(args):
         rep = eprb_experiment.correlation_report(log)
         rows.append((log.theta, rep.xy_mean, rep.x_mean, rep.y_mean, rep.stderr_xy, rep.n))
         print(
@@ -423,11 +438,7 @@ def _cmd_eprb_report(args) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["theta", "xy_mean", "x_mean", "y_mean", "stderr_xy", "n"])
-            for row in rows:
-                writer.writerow([_FLOAT_FMT % v for v in row[:5]] + [row[5]])
+        _write_table(out, "eprb_report", np.array(rows, dtype=float).T)
     return EXIT_OK
 
 
@@ -500,9 +511,13 @@ def _build_potential(kind: str, mass: float):
         return harmonic_potential(omega=1.0, mass=mass)
     if kind.startswith("file:"):
         table = json.loads(Path(kind[5:]).read_text())
+        if not (isinstance(table, dict) and {"x", "v"} <= table.keys()):
+            raise ConfigError(f"{kind}: expected a JSON object with lists x and v")
         xs = np.asarray(table["x"], dtype=float)
         vs = np.asarray(table["v"], dtype=float)
-        return lambda x: np.interp(x, xs, vs)
+        if xs.ndim != 1 or xs.shape != vs.shape or xs.size < 2 or not np.all(np.diff(xs) > 0):
+            raise ConfigError(f"{kind}: x and v need equal lengths >= 2, x strictly increasing")
+        return lambda x: np.interp(x, xs, vs)  # NaN values reach the evolver's operator check
     raise ConfigError(f"unknown potential {kind!r}")
 
 
@@ -522,27 +537,13 @@ def _cmd_evolve(args) -> int:
     polar = traj.polar()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for k in range(traj.psi.shape[0]):
-        snap = out / f"snap_{k:06d}.csv"
-        with snap.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "re_psi", "im_psi", "P", "S"])
-            for i, x in enumerate(grid.x):
-                writer.writerow(
-                    [
-                        _FLOAT_FMT % x,
-                        _FLOAT_FMT % traj.psi[k, i].real,
-                        _FLOAT_FMT % traj.psi[k, i].imag,
-                        _FLOAT_FMT % polar.P[k, i],
-                        _FLOAT_FMT % polar.S[k, i],
-                    ]
-                )
-        outputs.append(snap)
+    outputs = [out / f"snap_{k:06d}.csv" for k in range(len(traj.psi))]
+    for k, (path, psi) in enumerate(zip(outputs, traj.psi)):
+        _write_table(path, "snapshot", [grid.x, psi.real, psi.imag, polar.P[k], polar.S[k]])
     write_manifest(out, "evolve", _config(args), outputs)
     print(
-        f"stored {traj.psi.shape[0]} snapshots; final norm drift "
-        f"{abs(traj.norms[-1] - traj.norms[0]):.2e}; energy drift "
+        f"stored {traj.psi.shape[0]} snapshots; final norm drift {traj.norm_drift:.2e}; "
+        f"max norm drift {traj.max_norm_drift:.2e}; energy drift "
         f"{abs(traj.energies[-1] - traj.energies[0]):.2e}"
     )
     return EXIT_OK
@@ -624,11 +625,7 @@ def _cmd_check_madelung(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    out_dir = Path(args.rundir)
-    manifest_path = out_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no manifest.json under {out_dir}")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _read_manifest(args.rundir)
     print(f"command:  {manifest['command']}")
     print(f"version:  {manifest['library_version']} (rng {manifest['rng_algorithm']})")
     print(f"created:  {manifest['created_utc']}")
@@ -637,7 +634,7 @@ def _cmd_report(args) -> int:
     for name, digest in sorted(manifest["outputs"].items()):
         print(f"  {name}  sha256:{digest[:16]}...")
     if args.verify:
-        problems = verify_manifest(out_dir)
+        problems = verify_manifest(args.rundir)
         if problems:
             for problem in problems:
                 print(f"VERIFY FAIL {problem}", file=sys.stderr)

@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import (
     BoundaryContact,
@@ -442,11 +442,12 @@ class TdseTrajectory:
     """Stored Crank-Nicolson history with per-step diagnostics."""
 
     psi: np.ndarray
-    times: np.ndarray
     norms: np.ndarray
     energies: np.ndarray
     grid: SpatialGrid
     params: PhysicalParams
+    norm_drift: float  # |norm - initial norm| after the last step
+    max_norm_drift: float  # its largest value over all steps, stored or not
     store_every: int = 1
 
     @property
@@ -492,6 +493,14 @@ def _hamiltonian_diagonals(grid: SpatialGrid, params: PhysicalParams) -> tuple[n
     return main, off
 
 
+def _tridiag_apply(p: np.ndarray, diag, off) -> np.ndarray:
+    """The symmetric tridiagonal product (diag on the diagonal, off beside it) times p."""
+    out = diag * p
+    out[1:] += off * p[:-1]
+    out[:-1] += off * p[1:]
+    return out
+
+
 def evolve_tdse(
     psi0: WaveField | np.ndarray,
     params: PhysicalParams,
@@ -505,10 +514,11 @@ def evolve_tdse(
 
     Hard-wall boundaries (psi = 0 at both ends).  The scheme is unitary and
     second order in dt; accuracy requires dt * (dominant energy scale) << 1,
-    which the norm and energy diagnostics make observable.  Raises
-    UnstableStep if the norm drifts beyond ``norm_tolerance`` and
-    BoundaryContact if more than ``boundary_mass_limit`` probability collects
-    within 5 cells of a wall.
+    which the norm and energy diagnostics make observable.  V is static, so
+    I + i dt/2 M is factored once (LAPACK ``zgttrf``); a step is one ``zgttrs``.
+    Raises UnstableStep if that matrix is non-finite or singular or the norm
+    drifts beyond ``norm_tolerance``, and BoundaryContact if more than
+    ``boundary_mass_limit`` probability collects within 5 cells of a wall.
     """
     if store_every < 1:
         raise ValueError(f"store_every (the snapshot stride) must be at least 1, got {store_every}")
@@ -520,50 +530,46 @@ def evolve_tdse(
         raise ValueError("psi0 length does not match the grid")
     psi[0] = psi[-1] = 0.0
     dx, dt = grid.dx, grid.dt
+    main, off = _hamiltonian_diagonals(grid, params)
 
     def norm_of(p: np.ndarray) -> float:
         return float(np.trapezoid(np.abs(p) ** 2, dx=dx))
 
-    def energy_of(p: np.ndarray, main: np.ndarray, off: float) -> float:
+    def energy_of(p: np.ndarray) -> float:
         interior = p[1:-1]
-        m_psi = main * interior
-        m_psi[1:] += off * interior[:-1]
-        m_psi[:-1] += off * interior[1:]
         # M = (sqrt(lam)/2) H, so <H> = (2/sqrt(lam)) <M>.
+        m_psi = _tridiag_apply(interior, main, off)
         expectation = float(np.real(np.sum(np.conj(interior) * m_psi)) * dx)
         return (2.0 / math.sqrt(params.lam)) * expectation
 
     n0 = norm_of(psi)
     if abs(n0 - 1.0) > 1e-8:
         raise ValueError(f"psi0 must be normalized, got integral {n0:.10f}")
-
-    main, off = _hamiltonian_diagonals(grid, params)
     if not (np.all(np.isfinite(main)) and math.isfinite(off)):
         raise UnstableStep("operator is non-finite")
-    ab = np.zeros((3, grid.n_x - 2), dtype=complex)
-    ab[0, 1:] = 0.5j * dt * off
-    ab[1, :] = 1.0 + 0.5j * dt * main
-    ab[2, :-1] = 0.5j * dt * off
+    lhs_off = np.full(grid.n_x - 3, 0.5j * dt * off)
+    *lu, info = zgttrf(lhs_off, 1.0 + 0.5j * dt * main, lhs_off)
+    if info != 0:
+        raise UnstableStep(f"Crank-Nicolson matrix is singular (zgttrf info {info})")
+    rhs_diag, rhs_off = 1.0 - 0.5j * dt * main, -0.5j * dt * off
 
     edge = min(5, grid.n_x // 4)
     stored = [psi.copy()]
-    norms = [n0]
-    energies = [energy_of(psi, main, off)]
-    times = [0.0]
+    drift = max_drift = 0.0
 
     for step in range(grid.n_t):
-        interior = psi[1:-1]
-        rhs = (1.0 - 0.5j * dt * main) * interior
-        rhs[1:] += -0.5j * dt * off * interior[:-1]
-        rhs[:-1] += -0.5j * dt * off * interior[1:]
-        psi[1:-1] = solve_banded((1, 1), ab, rhs)
+        psi[1:-1], info = zgttrs(*lu, _tridiag_apply(psi[1:-1], rhs_diag, rhs_off))
+        if info != 0:
+            raise UnstableStep(f"zgttrs info {info} at step {step + 1}")
 
         n_now = norm_of(psi)
-        if not math.isfinite(n_now) or abs(n_now - n0) > norm_tolerance:
+        drift = abs(n_now - n0)
+        if not drift <= norm_tolerance:  # a NaN norm fails too
             raise UnstableStep(
                 f"norm drifted to {n_now:.12f} at step {step + 1} "
                 f"(tolerance {norm_tolerance:.1e})"
             )
+        max_drift = max(max_drift, drift)
         if check_boundary:
             edge_mass = float(
                 np.sum(np.abs(psi[:edge]) ** 2) + np.sum(np.abs(psi[-edge:]) ** 2)
@@ -575,17 +581,15 @@ def evolve_tdse(
                 )
         if (step + 1) % store_every == 0:
             stored.append(psi.copy())
-            norms.append(n_now)
-            energies.append(energy_of(psi, main, off))
-            times.append((step + 1) * dt)
 
     return TdseTrajectory(
         psi=np.array(stored),
-        times=np.array(times),
-        norms=np.array(norms),
-        energies=np.array(energies),
+        norms=np.array([norm_of(p) for p in stored]),
+        energies=np.array([energy_of(p) for p in stored]),
         grid=grid,
         params=params,
+        norm_drift=drift,
+        max_norm_drift=max_drift,
         store_every=store_every,
     )
 

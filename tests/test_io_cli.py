@@ -28,8 +28,11 @@ from li_qt.io_cli import (
 from li_qt.sg_experiment import EventLog, UnitVector3, sample_sg
 from li_qt.wave_dynamics import (
     DetectorData,
+    PhysicalParams,
     PolarField,
     SpatialGrid,
+    evolve_tdse,
+    gaussian_packet,
     simulate_detector_clicks,
 )
 
@@ -128,7 +131,7 @@ def _sha(path: Path) -> str:
 
 
 class TestPinnedBytes:
-    """sha256 of logs at fixed seeds, recorded before the vectorized writer."""
+    """sha256 of outputs at fixed seeds, each recorded before its writer was vectorized."""
 
     def test_cli_logs(self, tmp_path):
         assert run_command(["sg", "run", "--theta-grid", "0.2:2.9:4", "--n", "2000",
@@ -155,6 +158,22 @@ class TestPinnedBytes:
         csv_path, sidecar = save_detector_data(data, tmp_path / "det", seed=6)
         assert _sha(csv_path) == "e98cffc11e9a80125014c51b52ff09e35ca240590c5c0d0da9592dfd7e4823b9"
         assert _sha(sidecar) == "884b5b00b50e897a68c74d82d2d6626c30be18e0eae4cde8534c87b5c5160f04"
+
+    def test_evolve_snapshots(self, tmp_path):
+        # Recorded before the factored stepper and the vectorized snapshot writer.
+        assert run_command(["evolve", "--potential", "harmonic", "--grid", "10,256,0.005,40",
+                            "--stride", "20", "--out", str(tmp_path)]) == 0
+        first, last = tmp_path / "snap_000000.csv", tmp_path / "snap_000002.csv"
+        assert b",nan\r\n" in first.read_bytes() and b",nan\r\n" in last.read_bytes()
+        assert _sha(first) == "295df2a7de8e9f389e07f16d45648b9fd6e3ca35d06566101270c5e47271b0fa"
+        assert _sha(last) == "a941116daa5ee89eb42a5d31d2dc70af8f44c402b1e1d4025385887e6a6ae8e2"
+
+    def test_eprb_report_table(self, tmp_path):
+        assert run_command(["eprb", "run", "--theta-grid", "0.2:2.9:3", "--n", "2000",
+                            "--seed", "9", "--out", str(tmp_path)]) == 0
+        report = tmp_path / "report.csv"
+        assert run_command(["eprb", "report", str(tmp_path), "--out", str(report)]) == 0
+        assert _sha(report) == "48f129c9e0b2e78aa63bc6564dedab8b93f01d7797c0d401ef6d3e36d033a214"
 
 
 def _write_log(tmp_path: Path, kind: str, n: int) -> Path:
@@ -255,6 +274,14 @@ class TestManifest:
         target.write_text("index,outcome\n0,-1\n")
         problems = verify_manifest(tmp_path)
         assert problems and "mismatch" in problems[0]
+
+    def test_missing_key_rejected(self, tmp_path):
+        write_manifest(tmp_path, "sg run", {"n": 1}, [])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        del manifest["outputs"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaMismatch, match="outputs"):
+            verify_manifest(tmp_path)
 
 
 class TestCli:
@@ -420,6 +447,16 @@ class TestCli:
         (out_a / "snap_000001.csv").write_text("x,re_psi,im_psi,P,S\n")
         assert run_command(["report", str(out_a), "--verify"]) == 3
 
+    def test_evolve_reports_drift_over_all_steps(self, tmp_path, capsys):
+        # 10 steps at the default stride of 100 store only t = 0.
+        assert run_command(["evolve", "--grid", "10,64,0.001,10", "--out", str(tmp_path)]) == 0
+        summary = capsys.readouterr().out
+        grid = SpatialGrid(L=10.0, n_x=64, dt=0.001, n_t=10)
+        every = evolve_tdse(gaussian_packet(grid), PhysicalParams(), grid, store_every=1)
+        drifts = np.abs(every.norms - every.norms[0])
+        assert summary.startswith("stored 1 snapshots; ")
+        assert f"final norm drift {drifts[-1]:.2e}; max norm drift {drifts.max():.2e};" in summary
+
     def test_check_fisher(self):
         assert run_command(["check", "fisher"]) == 0
 
@@ -437,9 +474,12 @@ class TestCli:
         assert separate["noise_floor"] == 0.01
 
 
-def _nan_potential(tmp: Path) -> list[str]:
-    (tmp / "v.json").write_text('{"x": [-10, 10], "v": [NaN, NaN]}')
-    return ["evolve", "--potential", f"file:{tmp / 'v.json'}", "--grid", "10,64,0.001,10"]
+def _potential_file(text: str):
+    def make_argv(tmp: Path) -> list[str]:
+        (tmp / "v.json").write_text(text)
+        return ["evolve", "--potential", f"file:{tmp / 'v.json'}", "--grid", "10,64,0.001,10"]
+
+    return make_argv
 
 
 def _sg_log_without_m(tmp: Path) -> list[str]:
@@ -447,6 +487,15 @@ def _sg_log_without_m(tmp: Path) -> list[str]:
                         "--out", str(tmp)]) == 0
     _drop_sidecar_field(tmp / "sg_000.csv", "m")
     return ["sg", "fit", str(tmp)]
+
+
+def _manifest_without_outputs(tmp: Path) -> list[str]:
+    assert run_command(["sg", "run", "--theta", "0.5", "--n", "100", "--seed", "1",
+                        "--out", str(tmp)]) == 0
+    manifest = json.loads((tmp / "manifest.json").read_text())
+    del manifest["outputs"]
+    (tmp / "manifest.json").write_text(json.dumps(manifest))
+    return ["report", str(tmp), "--verify"]
 
 
 def _unknown_config_key(tmp: Path) -> list[str]:
@@ -458,7 +507,15 @@ EXIT_CASES = {
     # id: (argv from a scratch directory, exit code, text stderr must hold)
     "boundary_contact": (lambda tmp: ["evolve", "--grid", "10,512,0.001,1000", "--p0", "20"],
                          3, "BoundaryContact"),
-    "nan_file_potential": (_nan_potential, 3, "UnstableStep"),
+    "nan_file_potential": (_potential_file('{"x": [-10, 10], "v": [NaN, NaN]}'), 3, "UnstableStep"),
+    "potential_not_object": (_potential_file("[[-10, 0], [10, 0]]"), 2, "ConfigError"),
+    "potential_missing_v": (_potential_file('{"x": [-10, 10]}'), 2, "ConfigError"),
+    "potential_length_mismatch": (_potential_file('{"x": [-10, 0, 10], "v": [0, 1]}'),
+                                  2, "ConfigError"),
+    "potential_one_point": (_potential_file('{"x": [0], "v": [1]}'), 2, "ConfigError"),
+    "potential_x_not_increasing": (_potential_file('{"x": [-10, 5, 0, 10], "v": [1, 0, 0, 1]}'),
+                                   2, "ConfigError"),
+    "manifest_missing_outputs": (_manifest_without_outputs, 2, "lacks ['outputs']"),
     "stride_zero": (lambda tmp: ["evolve", "--grid", "10,64,0.001,10", "--stride", "0"],
                     2, "stride"),
     "sidecar_missing_field": (_sg_log_without_m, 2, "lacks ['m']"),

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 from scipy.stats import norm as gaussian_dist
 
 from li_qt.errors import BoundaryContact, PhaseUndefined, UnstableStep
@@ -27,6 +30,7 @@ from li_qt.wave_dynamics import (
     simulate_detector_clicks,
     wave_to_polar,
 )
+from li_qt.wave_dynamics import _hamiltonian_diagonals
 
 
 def normalized_gaussian(grid: SpatialGrid, sigma: float, center: float = 0.0) -> np.ndarray:
@@ -433,6 +437,18 @@ class TestEvolver:
         with pytest.raises(UnstableStep):
             evolve_tdse(gaussian_packet(grid), params, grid)
 
+    def test_norm_drift_covers_unstored_steps(self):
+        # 23 steps with stride 10 store t = 0, 10, 20 only; the drift
+        # diagnostics still come from every step, the last one included.
+        grid = SpatialGrid(L=10.0, n_x=128, dt=0.01, n_t=23)
+        params = PhysicalParams(potential=harmonic_potential())
+        every = evolve_tdse(gaussian_packet(grid, x0=0.5), params, grid, store_every=1)
+        sparse = evolve_tdse(gaussian_packet(grid, x0=0.5), params, grid, store_every=10)
+        drifts = np.abs(every.norms - every.norms[0])
+        assert len(sparse.norms) == 3
+        assert sparse.norm_drift == every.norm_drift == drifts[-1]
+        assert sparse.max_norm_drift == every.max_norm_drift == drifts.max() > 0
+
     def test_lambda_rescaling_invariance(self):
         # (lam, dt, V) and (lam/c^2, dt/c, c^2 V) give identical trajectories.
         c = 2.0
@@ -455,6 +471,99 @@ class TestEvolver:
             store_every=n_steps,
         )
         assert np.max(np.abs(base.psi[-1] - scaled.psi[-1])) < 1e-10
+
+
+def _banded_reference(psi0, params, grid, store_every):
+    """Stored psi, norms and energies of the per-step banded CN solve.
+
+    This is the stepper ``evolve_tdse`` had before it factored the matrix
+    once; it is kept here only as the reference for bitwise equality.
+    """
+    dx, dt = grid.dx, grid.dt
+    main, off = _hamiltonian_diagonals(grid, params)
+    ab = np.zeros((3, grid.n_x - 2), dtype=complex)
+    ab[0, 1:] = 0.5j * dt * off
+    ab[1, :] = 1.0 + 0.5j * dt * main
+    ab[2, :-1] = 0.5j * dt * off
+
+    def energy_of(p):
+        interior = p[1:-1]
+        m_psi = main * interior
+        m_psi[1:] += off * interior[:-1]
+        m_psi[:-1] += off * interior[1:]
+        expectation = float(np.real(np.sum(np.conj(interior) * m_psi)) * dx)
+        return (2.0 / math.sqrt(params.lam)) * expectation
+
+    psi = psi0.psi[0].copy()
+    psi[0] = psi[-1] = 0.0
+    stored = [psi.copy()]
+    for step in range(grid.n_t):
+        interior = psi[1:-1]
+        rhs = (1.0 - 0.5j * dt * main) * interior
+        rhs[1:] += -0.5j * dt * off * interior[:-1]
+        rhs[:-1] += -0.5j * dt * off * interior[1:]
+        psi[1:-1] = solve_banded((1, 1), ab, rhs)
+        if (step + 1) % store_every == 0:
+            stored.append(psi.copy())
+    norms = [float(np.trapezoid(np.abs(p) ** 2, dx=dx)) for p in stored]
+    return np.array(stored), np.array(norms), np.array([energy_of(p) for p in stored])
+
+
+# Small random CN problems: a Gaussian in a harmonic well on [-10, 10].  The
+# walls are not checked: with weak wells the packet may spread onto them,
+# which leaves the scheme exactly as unitary.
+CN_CASES = st.fixed_dictionaries({
+    "n_x": st.integers(64, 256),
+    "n_t": st.integers(1, 200),
+    "dt": st.floats(1e-3, 2e-2),
+    "mass": st.floats(0.5, 2.0),
+    "lam": st.floats(1.0, 8.0),
+    "omega": st.floats(0.2, 2.0),
+    "x0": st.floats(-1.5, 1.5),
+    "store_every": st.integers(1, 50),
+})
+CN_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+
+def _cn_problem(case, dt_scale=1.0, lam_scale=1.0, v_scale=1.0):
+    grid = SpatialGrid(L=10.0, n_x=case["n_x"], dt=case["dt"] * dt_scale, n_t=case["n_t"])
+    well = harmonic_potential(case["omega"], case["mass"])
+    params = PhysicalParams(
+        mass=case["mass"], lam=case["lam"] * lam_scale, potential=lambda x: v_scale * well(x)
+    )
+    return gaussian_packet(grid, x0=case["x0"], lam=params.lam), params, grid
+
+
+class TestEvolverProperties:
+    @CN_SETTINGS
+    @given(CN_CASES)
+    def test_matches_banded_reference_bitwise(self, case):
+        psi0, params, grid = _cn_problem(case)
+        traj = evolve_tdse(psi0, params, grid, store_every=case["store_every"],
+                           check_boundary=False)
+        psi, norms, energies = _banded_reference(psi0, params, grid, case["store_every"])
+        assert np.array_equal(traj.psi, psi)
+        assert np.array_equal(traj.norms, norms)
+        assert np.array_equal(traj.energies, energies)
+
+    @CN_SETTINGS
+    @given(CN_CASES)
+    def test_norm_conserved(self, case):
+        psi0, params, grid = _cn_problem(case)
+        traj = evolve_tdse(psi0, params, grid, store_every=case["store_every"],
+                           check_boundary=False)
+        assert np.max(np.abs(traj.norms - traj.norms[0])) <= 1e-10
+        assert traj.max_norm_drift <= 1e-10
+
+    @CN_SETTINGS
+    @given(CN_CASES, st.floats(0.5, 3.0))
+    def test_lambda_rescaling(self, case, c):
+        # (lam, dt, V) and (lam/c^2, dt/c, c^2 V) give the same trajectory.
+        base = evolve_tdse(*_cn_problem(case), store_every=case["store_every"],
+                           check_boundary=False)
+        scaled = evolve_tdse(*_cn_problem(case, dt_scale=1 / c, lam_scale=1 / c**2, v_scale=c**2),
+                             store_every=case["store_every"], check_boundary=False)
+        assert np.max(np.abs(base.psi - scaled.psi)) < 1e-10
 
 
 class TestMadelung:
