@@ -93,9 +93,11 @@ _SIDECAR_FIELDS = {
     "eprb": ("n", "seed", "theta", "a1", "a2"),
     "detector": ("k_det", "n_slices", "n_repeats"),
 }
-_MANIFEST_FIELDS = (
-    "command", "config", "library_version", "rng_algorithm", "created_utc", "outputs"
-)
+# manifest field -> the JSON type it must hold; ``outputs`` maps names to digest strings.
+_MANIFEST_FIELDS = {
+    "command": str, "config": dict, "library_version": str, "rng_algorithm": str,
+    "created_utc": str, "outputs": dict,
+}
 
 
 def _write_table(path: Path, kind: str, columns: list[np.ndarray]) -> None:
@@ -290,7 +292,13 @@ def _read_manifest(out_dir: Path) -> dict:
     path = Path(out_dir) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"no manifest.json under {out_dir}")
-    return _require(_read_json(path), _MANIFEST_FIELDS, path)
+    manifest = _require(_read_json(path), tuple(_MANIFEST_FIELDS), path)
+    wrong = [key for key, kind in _MANIFEST_FIELDS.items() if not isinstance(manifest[key], kind)]
+    if not wrong and not all(isinstance(v, str) for v in manifest["outputs"].values()):
+        wrong = ["outputs"]
+    if wrong:
+        raise SchemaMismatch(f"{path}: wrong type for {wrong}")
+    return manifest
 
 
 def verify_manifest(out_dir: Path) -> list[str]:
@@ -544,7 +552,8 @@ def _cmd_evolve(args) -> int:
     print(
         f"stored {traj.psi.shape[0]} snapshots; final norm drift {traj.norm_drift:.2e}; "
         f"max norm drift {traj.max_norm_drift:.2e}; energy drift "
-        f"{abs(traj.energies[-1] - traj.energies[0]):.2e}"
+        f"{abs(traj.energies[-1] - traj.energies[0]):.2e}; "
+        f"max wall mass {traj.max_edge_mass:.2e}"
     )
     return EXIT_OK
 
@@ -579,9 +588,9 @@ def _cmd_check_fisher(args) -> int:
         edges = wave_dynamics.detector_edges(grid.L, k_det) + origin
 
         def prob(x0, tau):
-            from scipy.stats import norm
+            from scipy.special import ndtr  # the normal CDF
 
-            cdf = norm.cdf(edges, loc=x0, scale=sigma)
+            cdf = ndtr((edges - x0) / sigma)
             return np.diff(cdf) / (cdf[-1] - cdf[0])
 
         return prob
@@ -792,3 +801,7 @@ def run_command(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

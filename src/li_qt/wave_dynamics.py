@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import (
@@ -87,8 +86,8 @@ class SpatialGrid:
     def x(self) -> np.ndarray:
         return np.linspace(-self.L, self.L, self.n_x)
 
-    def times(self, n_slices: int, slice_dt: float | None = None) -> np.ndarray:
-        return np.arange(n_slices) * (self.dt if slice_dt is None else slice_dt)
+    def times(self, n_slices: int) -> np.ndarray:
+        return np.arange(n_slices) * self.dt
 
 
 def _promote(arr, dtype) -> np.ndarray:
@@ -252,8 +251,9 @@ def detector_edges(L: float, k_det: int) -> np.ndarray:
 
 def bin_probabilities(P_slice: np.ndarray, grid: SpatialGrid, k_det: int) -> np.ndarray:
     """Integral of a density slice over each detector bin."""
-    x = grid.x
-    cumulative = np.concatenate([[0.0], cumulative_trapezoid(P_slice, x)])
+    x, P = grid.x, np.asarray(P_slice)
+    # Cumulative trapezoid, in the same arithmetic as SciPy's cumulative_trapezoid.
+    cumulative = np.concatenate(([0.0], np.cumsum(np.diff(x) * (P[1:] + P[:-1]) / 2.0)))
     edges = detector_edges(grid.L, k_det)
     cdf_at_edges = np.interp(edges, x, cumulative)
     probs = np.diff(cdf_at_edges)
@@ -335,12 +335,10 @@ def hj_residual(
     V: Callable[[np.ndarray], np.ndarray] | None,
     mass: float,
     grid: SpatialGrid,
-    slice_dt: float | None = None,
 ) -> np.ndarray:
     """Pointwise Hamilton-Jacobi residual dS/dt + (dS/dx)^2 / (2m) + V."""
     S2d = _promote(S, float)
-    dt = grid.dt if slice_dt is None else slice_dt
-    dSdt = _d_time(S2d, dt)
+    dSdt = _d_time(S2d, grid.dt)
     dSdx = _d_space(S2d, grid.dx, "fd")
     V_field = 0.0 if V is None else V(grid.x)
     return dSdt + dSdx**2 / (2 * mass) + V_field
@@ -448,6 +446,7 @@ class TdseTrajectory:
     params: PhysicalParams
     norm_drift: float  # |norm - initial norm| after the last step
     max_norm_drift: float  # its largest value over all steps, stored or not
+    max_edge_mass: float  # largest probability near a wall over all steps
     store_every: int = 1
 
     @property
@@ -517,8 +516,10 @@ def evolve_tdse(
     which the norm and energy diagnostics make observable.  V is static, so
     I + i dt/2 M is factored once (LAPACK ``zgttrf``); a step is one ``zgttrs``.
     Raises UnstableStep if that matrix is non-finite or singular or the norm
-    drifts beyond ``norm_tolerance``, and BoundaryContact if more than
-    ``boundary_mass_limit`` probability collects within 5 cells of a wall.
+    drifts beyond ``norm_tolerance``.  The probability within 5 cells of a
+    wall is recorded on every step (its maximum is ``max_edge_mass``); with
+    ``check_boundary`` set, more than ``boundary_mass_limit`` of it raises
+    BoundaryContact.
     """
     if store_every < 1:
         raise ValueError(f"store_every (the snapshot stride) must be at least 1, got {store_every}")
@@ -555,7 +556,7 @@ def evolve_tdse(
 
     edge = min(5, grid.n_x // 4)
     stored = [psi.copy()]
-    drift = max_drift = 0.0
+    drift = max_drift = max_edge = 0.0
 
     for step in range(grid.n_t):
         psi[1:-1], info = zgttrs(*lu, _tridiag_apply(psi[1:-1], rhs_diag, rhs_off))
@@ -570,15 +571,15 @@ def evolve_tdse(
                 f"(tolerance {norm_tolerance:.1e})"
             )
         max_drift = max(max_drift, drift)
-        if check_boundary:
-            edge_mass = float(
-                np.sum(np.abs(psi[:edge]) ** 2) + np.sum(np.abs(psi[-edge:]) ** 2)
-            ) * dx
-            if edge_mass > boundary_mass_limit:
-                raise BoundaryContact(
-                    f"probability {edge_mass:.3e} within {edge} cells of the wall "
-                    f"at step {step + 1}"
-                )
+        edge_mass = float(
+            np.sum(np.abs(psi[:edge]) ** 2) + np.sum(np.abs(psi[-edge:]) ** 2)
+        ) * dx
+        max_edge = max(max_edge, edge_mass)
+        if check_boundary and edge_mass > boundary_mass_limit:
+            raise BoundaryContact(
+                f"probability {edge_mass:.3e} within {edge} cells of the wall "
+                f"at step {step + 1}"
+            )
         if (step + 1) % store_every == 0:
             stored.append(psi.copy())
 
@@ -590,6 +591,7 @@ def evolve_tdse(
         params=params,
         norm_drift=drift,
         max_norm_drift=max_drift,
+        max_edge_mass=max_edge,
         store_every=store_every,
     )
 

@@ -283,6 +283,28 @@ class TestManifest:
         with pytest.raises(SchemaMismatch, match="outputs"):
             verify_manifest(tmp_path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("outputs", ["data.csv"]),
+        ("outputs", {"data.csv": 7}),
+        ("config", [1]),
+        ("command", 3),
+        ("created_utc", None),
+    ])
+    def test_wrong_type_rejected(self, tmp_path, key, value):
+        write_manifest(tmp_path, "sg run", {"n": 1}, [])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest[key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaMismatch, match=f"wrong type for \\['{key}'\\]"):
+            verify_manifest(tmp_path)
+
+
+def _run_python(args: list[str]) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports li_qt from this source tree."""
+    env = {"PYTHONPATH": str(Path(li_qt.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
 
 class TestCli:
     def test_sg_run_expectation(self, tmp_path, capsys):
@@ -396,11 +418,21 @@ class TestCli:
         assert "singlet_sigma=0.000" in line and line.endswith("FAIL")
 
     def test_python_dash_m_runs_cli(self, tmp_path):
-        env = {"PYTHONPATH": str(Path(li_qt.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-m", "li_qt", "report", str(tmp_path)],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 2
-        assert "no manifest.json" in proc.stderr
+        for module in ("li_qt", "li_qt.io_cli"):
+            proc = _run_python(["-m", module, "report", str(tmp_path)])
+            assert proc.returncode == 2, module
+            assert "no manifest.json" in proc.stderr
+
+    def test_startup_loads_only_scipy_linalg(self):
+        # Every command pays for what a fresh ``li-qt`` process imports: of
+        # SciPy's public subpackages only ``linalg`` (the CN stepper's LAPACK).
+        proc = _run_python(["-c", "import sys, li_qt.io_cli as cli; cli.build_parser(); "
+                                  "print(*sorted(m for m in sys.modules if m.startswith('scipy.')))"])
+        assert proc.returncode == 0, proc.stderr
+        subpackages = {name.split(".")[1] for name in proc.stdout.split()}
+        assert "linalg" in subpackages
+        # Not scipy.integrate, stats, optimize, sparse, special, ...
+        assert {s for s in subpackages if not s.startswith("_")} - {"linalg", "version"} == set()
 
     def test_separate_sg_cli(self, tmp_path):
         path = _sg_correlations(tmp_path / "corr.csv")
@@ -456,9 +488,15 @@ class TestCli:
         drifts = np.abs(every.norms - every.norms[0])
         assert summary.startswith("stored 1 snapshots; ")
         assert f"final norm drift {drifts[-1]:.2e}; max norm drift {drifts.max():.2e};" in summary
+        assert summary.rstrip().endswith(f"; max wall mass {every.max_edge_mass:.2e}")
 
-    def test_check_fisher(self):
+    def test_check_fisher(self, capsys):
+        # Recorded when the normal CDF came from scipy.stats.norm.cdf.
         assert run_command(["check", "fisher"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "continuum Fisher of a unit Gaussian: 1.000000 (expect 1.0, off by 1.60e-07)",
+            "discrete Fisher fine bins: 0.999867; jointly shifted: 0.999867",
+        ]
 
     def test_check_fq_small(self):
         assert run_command(["check", "fq", "--trials", "5"]) == 0
@@ -498,6 +536,15 @@ def _manifest_without_outputs(tmp: Path) -> list[str]:
     return ["report", str(tmp), "--verify"]
 
 
+def _manifest_outputs_as_list(tmp: Path) -> list[str]:
+    assert run_command(["sg", "run", "--theta", "0.5", "--n", "100", "--seed", "1",
+                        "--out", str(tmp)]) == 0
+    manifest = json.loads((tmp / "manifest.json").read_text())
+    manifest["outputs"] = list(manifest["outputs"])
+    (tmp / "manifest.json").write_text(json.dumps(manifest))
+    return ["report", str(tmp), "--verify"]
+
+
 def _unknown_config_key(tmp: Path) -> list[str]:
     (tmp / "cfg.json").write_text('{"bogus_knob": 1}')
     return ["--config", str(tmp / "cfg.json"), "sg", "run", "--out", str(tmp)]
@@ -516,6 +563,7 @@ EXIT_CASES = {
     "potential_x_not_increasing": (_potential_file('{"x": [-10, 5, 0, 10], "v": [1, 0, 0, 1]}'),
                                    2, "ConfigError"),
     "manifest_missing_outputs": (_manifest_without_outputs, 2, "lacks ['outputs']"),
+    "manifest_outputs_not_object": (_manifest_outputs_as_list, 2, "wrong type for ['outputs']"),
     "stride_zero": (lambda tmp: ["evolve", "--grid", "10,64,0.001,10", "--stride", "0"],
                     2, "stride"),
     "sidecar_missing_field": (_sg_log_without_m, 2, "lacks ['m']"),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 from scipy.stats import norm as gaussian_dist
 
@@ -113,6 +114,23 @@ class TestDetectorModel:
     def test_detector_data_invariant(self):
         with pytest.raises(ValueError):
             DetectorData(clicks=np.array([[1, 2, 3]]), n_repeats=7, k_det=1)
+
+
+def _bin_probabilities_reference(P, grid, k_det):
+    x = grid.x
+    cumulative = np.concatenate([[0.0], cumulative_trapezoid(P, x)])
+    probs = np.maximum(np.diff(np.interp(detector_edges(grid.L, k_det), x, cumulative)), 0.0)
+    return probs / probs.sum()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(16, 1024), st.floats(0.5, 20.0), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_bin_probabilities_match_scipy_reference(n_x, L, k_det, seed):
+    grid = SpatialGrid(L=L, n_x=n_x, dt=1.0, n_t=1)
+    P = np.random.default_rng(seed).random(n_x)
+    P /= np.trapezoid(P, dx=grid.dx)
+    assert np.array_equal(bin_probabilities(P, grid, k_det),
+                          _bin_probabilities_reference(P, grid, k_det))
 
 
 class TestFisherDiscrete:
@@ -448,6 +466,26 @@ class TestEvolver:
         assert len(sparse.norms) == 3
         assert sparse.norm_drift == every.norm_drift == drifts[-1]
         assert sparse.max_norm_drift == every.max_norm_drift == drifts.max() > 0
+
+    def test_edge_mass_covers_unstored_steps(self):
+        # The same 23 steps: the wall mass is recorded on every step too.
+        grid = SpatialGrid(L=10.0, n_x=128, dt=0.01, n_t=23)
+        params = PhysicalParams(potential=harmonic_potential())
+        every = evolve_tdse(gaussian_packet(grid, x0=0.5), params, grid, store_every=1)
+        sparse = evolve_tdse(gaussian_packet(grid, x0=0.5), params, grid, store_every=10)
+        masses = [
+            float(np.sum(np.abs(p[:5]) ** 2) + np.sum(np.abs(p[-5:]) ** 2)) * grid.dx
+            for p in every.psi[1:]
+        ]
+        assert sparse.max_edge_mass == every.max_edge_mass == max(masses) > 0
+
+    def test_edge_mass_recorded_without_boundary_check(self):
+        grid = SpatialGrid(L=10.0, n_x=512, dt=1e-3, n_t=1000)
+        psi0 = gaussian_packet(grid, p0=20.0)
+        with pytest.raises(BoundaryContact):
+            evolve_tdse(psi0, PhysicalParams(), grid, store_every=100)
+        traj = evolve_tdse(psi0, PhysicalParams(), grid, store_every=100, check_boundary=False)
+        assert traj.max_edge_mass > 1e-6
 
     def test_lambda_rescaling_invariance(self):
         # (lam, dt, V) and (lam/c^2, dt/c, c^2 V) give identical trajectories.
