@@ -63,10 +63,14 @@ def _read_json(path: Path) -> dict:
     return data
 
 
-def _require(data: dict, keys: tuple[str, ...], path: Path) -> dict:
-    missing = [key for key in keys if key not in data]
+def _require(data: dict, fields: dict, path: Path) -> dict:
+    """``data``, once it holds every key of ``fields`` with a value of that key's type."""
+    missing = [key for key in fields if key not in data]
     if missing:
         raise SchemaMismatch(f"{path}: lacks {missing}")
+    wrong = [key for key, kind in fields.items() if not isinstance(data[key], kind)]
+    if wrong:
+        raise SchemaMismatch(f"{path}: wrong type for {wrong}")
     return data
 
 
@@ -87,12 +91,16 @@ _SCHEMAS = {
     "snapshot": (("x", "re_psi", "im_psi", "P", "S"), np.float64, None),
     "eprb_report": (("theta", "xy_mean", "x_mean", "y_mean", "stderr_xy", "n"), np.float64, None),
 }
-# log kind -> the sidecar fields its loader reads.
+# log kind -> sidecar field its loader reads -> the JSON type it must hold.
+_NUMBER = (int, float)
+_VECTOR = list  # of 3 numbers
+_LOG_FIELDS = {"n": int, "seed": int, "theta": _NUMBER, "conditions": dict}
 _SIDECAR_FIELDS = {
-    "sg": ("n", "seed", "theta", "a", "m"),
-    "eprb": ("n", "seed", "theta", "a1", "a2"),
-    "detector": ("k_det", "n_slices", "n_repeats"),
+    "sg": {**_LOG_FIELDS, "a": _VECTOR, "m": _VECTOR},
+    "eprb": {**_LOG_FIELDS, "a1": _VECTOR, "a2": _VECTOR},
+    "detector": {"k_det": int, "n_slices": int, "n_repeats": int},
 }
+_CONDITIONS_FIELDS = {"label": str, "parameters": dict}
 # manifest field -> the JSON type it must hold; ``outputs`` maps names to digest strings.
 _MANIFEST_FIELDS = {
     "command": str, "config": dict, "library_version": str, "rng_algorithm": str,
@@ -206,23 +214,28 @@ def load_events(base: Path) -> EventLog | PairEventLog | DetectorData:
     if kind not in _SIDECAR_FIELDS:
         raise SchemaMismatch(f"{sidecar_path}: unknown log kind {kind!r}")
     _require(meta, _SIDECAR_FIELDS[kind], sidecar_path)
+    vectors = [key for key, type_ in _SIDECAR_FIELDS[kind].items() if type_ is _VECTOR]
+    if any(len(meta[key]) != 3 or not all(isinstance(c, _NUMBER) for c in meta[key])
+           for key in vectors):
+        raise SchemaMismatch(f"{sidecar_path}: {vectors} must each hold 3 numbers")
     rows = _read_table(csv_path, kind)
     if kind == "detector":
-        k_det = int(meta["k_det"])
-        clicks = _detector_clicks(rows, int(meta["n_slices"]), k_det, csv_path)
+        k_det = meta["k_det"]
+        clicks = _detector_clicks(rows, meta["n_slices"], k_det, csv_path)
         try:
-            return DetectorData(clicks=clicks, n_repeats=int(meta["n_repeats"]), k_det=k_det)
+            return DetectorData(clicks=clicks, n_repeats=meta["n_repeats"], k_det=k_det)
         except ValueError as exc:
             raise CorruptData(f"{csv_path}: {exc}") from exc
     if rows.shape[0] != meta["n"]:
         raise CorruptData(f"{csv_path}: {rows.shape[0]} rows but sidecar declares n={meta['n']}")
-    conditions = ExperimentConditions(**meta.get("conditions", {}))
+    cond = _require(meta["conditions"], _CONDITIONS_FIELDS, sidecar_path)
+    conditions = ExperimentConditions(label=cond["label"], parameters=cond["parameters"])
     if kind == "sg":
         log = EventLog(
             outcomes=rows[:, 1],
             a=UnitVector3.from_array(meta["a"]),
             m_direction=UnitVector3.from_array(meta["m"]),
-            seed=int(meta["seed"]),
+            seed=meta["seed"],
             conditions=conditions,
         )
     else:
@@ -231,7 +244,7 @@ def load_events(base: Path) -> EventLog | PairEventLog | DetectorData:
             ys=rows[:, 2],
             a1=UnitVector3.from_array(meta["a1"]),
             a2=UnitVector3.from_array(meta["a2"]),
-            seed=int(meta["seed"]),
+            seed=meta["seed"],
             conditions=conditions,
         )
     if abs(log.theta - float(meta["theta"])) > 1e-12:
@@ -292,12 +305,9 @@ def _read_manifest(out_dir: Path) -> dict:
     path = Path(out_dir) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"no manifest.json under {out_dir}")
-    manifest = _require(_read_json(path), tuple(_MANIFEST_FIELDS), path)
-    wrong = [key for key, kind in _MANIFEST_FIELDS.items() if not isinstance(manifest[key], kind)]
-    if not wrong and not all(isinstance(v, str) for v in manifest["outputs"].values()):
-        wrong = ["outputs"]
-    if wrong:
-        raise SchemaMismatch(f"{path}: wrong type for {wrong}")
+    manifest = _require(_read_json(path), _MANIFEST_FIELDS, path)
+    if not all(isinstance(v, str) for v in manifest["outputs"].values()):
+        raise SchemaMismatch(f"{path}: wrong type for ['outputs']")
     return manifest
 
 
@@ -559,6 +569,8 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_check_fq(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     grid = SpatialGrid(L=8.0, n_x=256, dt=1e-4, n_t=8)
     params = PhysicalParams(potential=lambda x: 0.3 * np.cos(np.pi * x / 8))
     worst = 0.0
@@ -572,6 +584,9 @@ def _cmd_check_fq(args) -> int:
         worst = max(worst, abs(F - Q) / (abs(F) + abs(Q)))
     print(f"max relative |F - Q| over {args.trials} trials: {worst:.3e}")
     return EXIT_OK if worst < 1e-8 else EXIT_CONTRACT
+
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)  # elementwise; the normal CDF is erfc(-z/sqrt 2)/2
 
 
 def _cmd_check_fisher(args) -> int:
@@ -588,9 +603,7 @@ def _cmd_check_fisher(args) -> int:
         edges = wave_dynamics.detector_edges(grid.L, k_det) + origin
 
         def prob(x0, tau):
-            from scipy.special import ndtr  # the normal CDF
-
-            cdf = ndtr((edges - x0) / sigma)
+            cdf = 0.5 * _erfc(-(edges - x0) / (sigma * math.sqrt(2))).astype(float)
             return np.diff(cdf) / (cdf[-1] - cdf[0])
 
         return prob

@@ -189,7 +189,9 @@ def fit_robust_solution(
     eh = np.asarray(e_hats, dtype=float)
     if th.shape != eh.shape or th.ndim != 1:
         raise InsufficientData("thetas and e_hats must be equal-length 1-d sequences")
-    if np.unique(th).size < 8:
+    if not np.all(np.isfinite(th)):
+        raise InsufficientData("theta values must be finite")
+    if len(set(th.tolist())) < 8:  # not np.unique, which imports numpy.ma
         raise InsufficientData("need at least 8 distinct theta values")
     if th.max() - th.min() < math.pi - 1e-9:
         raise InsufficientData("theta values must span at least [0, pi]")

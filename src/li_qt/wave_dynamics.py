@@ -44,12 +44,13 @@ Numerical conventions
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
+import numpy.random  # noqa: F401  at start-up, not inside the first command that samples
 
 from .errors import (
     BoundaryContact,
@@ -59,6 +60,22 @@ from .errors import (
 )
 
 PROBABILITY_FLOOR = 1e-12
+
+# LAPACK zgttrf/zgttrs from the OpenBLAS bundled with numpy's wheels, which
+# numpy.linalg has already mapped: dlsym on its extension module also
+# searches the libraries it links.  That build is ILP64 (every integer is
+# 64-bit) with prefixed names.  None where numpy lacks them; the CN stepper
+# then uses SciPy's wrappers of the same routines.  No ``argtypes``: every
+# argument is built once as a ctypes object of its exact C type (see
+# ``_tridiag_solver``), and converting 12 arguments on each call would cost
+# about 8 % of a solve.
+try:
+    _lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    _LAPACK = (_lib.scipy_zgttrf_64_, _lib.scipy_zgttrs_64_)
+except (OSError, AttributeError):
+    _LAPACK = None
+else:
+    _LAPACK[0].restype = _LAPACK[1].restype = None
 
 
 @dataclass(frozen=True)
@@ -465,6 +482,10 @@ def gaussian_packet(
     lam: float = 4.0,
 ) -> WaveField:
     """Normalized Gaussian with density std sigma0 and mean momentum p0."""
+    if not sigma0 > 0:
+        raise ValueError(f"sigma0 must be positive, got {sigma0}")
+    if not (math.isfinite(x0) and math.isfinite(p0)):
+        raise ValueError(f"x0 and p0 must be finite, got {x0} and {p0}")
     x = grid.x
     hbar = 2.0 / math.sqrt(lam)
     psi = np.exp(-((x - x0) ** 2) / (4 * sigma0**2) + 1j * p0 * x / hbar)
@@ -492,12 +513,54 @@ def _hamiltonian_diagonals(grid: SpatialGrid, params: PhysicalParams) -> tuple[n
     return main, off
 
 
-def _tridiag_apply(p: np.ndarray, diag, off) -> np.ndarray:
+def _tridiag_apply(p: np.ndarray, diag, off, out: np.ndarray | None = None) -> np.ndarray:
     """The symmetric tridiagonal product (diag on the diagonal, off beside it) times p."""
-    out = diag * p
+    out = np.multiply(diag, p, out=out)
     out[1:] += off * p[:-1]
     out[:-1] += off * p[1:]
     return out
+
+
+def _view(a: np.ndarray) -> ctypes.Array:
+    """A ctypes view of ``a``'s memory, passed as a pointer; it keeps ``a`` alive."""
+    return (ctypes.c_char * a.nbytes).from_buffer(a)
+
+
+def _tridiag_solver(off: np.ndarray, diag: np.ndarray):
+    """Factor the tridiagonal matrix (diag; off on both sides of it) with zgttrf.
+
+    Returns ``(rhs, solve, info)``: ``info`` is zgttrf's, and ``solve()``
+    overwrites the buffer ``rhs`` with the solution for the right-hand side
+    it holds (zgttrs) and returns zgttrs' info.
+    """
+    if diag.ndim != 1 or np.shape(off) != (diag.size - 1,) or diag.size < 2:
+        raise ValueError("need a diagonal of at least 2 entries and an off-diagonal one shorter")
+    rhs = np.empty(diag.size, dtype=complex)
+    if _LAPACK is None:
+        from scipy.linalg.lapack import zgttrf, zgttrs
+
+        *lu, info = zgttrf(off, diag, off)
+
+        def solve() -> int:
+            rhs[:], info = zgttrs(*lu, rhs)
+            return info
+
+        return rhs, solve, info
+    zgttrf, zgttrs = _LAPACK
+    n, nrhs, info = ctypes.c_int64(diag.size), ctypes.c_int64(1), ctypes.c_int64()
+    # dl, d, du (overwritten by the factors), du2, ipiv: fresh contiguous buffers.
+    lu = [_view(np.array(a, dtype=complex)) for a in (off, diag, off)]
+    lu += [_view(np.empty(diag.size - 2, dtype=complex)),
+           _view(np.empty(diag.size, dtype=np.int64))]
+    zgttrf(ctypes.byref(n), *lu, ctypes.byref(info))
+    args = (ctypes.c_char_p(b"N"), ctypes.byref(n), ctypes.byref(nrhs), *lu, _view(rhs),
+            ctypes.byref(n), ctypes.byref(info), ctypes.c_size_t(1))
+
+    def solve() -> int:
+        zgttrs(*args)
+        return info.value
+
+    return rhs, solve, info.value
 
 
 def evolve_tdse(
@@ -544,12 +607,12 @@ def evolve_tdse(
         return (2.0 / math.sqrt(params.lam)) * expectation
 
     n0 = norm_of(psi)
-    if abs(n0 - 1.0) > 1e-8:
+    if not abs(n0 - 1.0) <= 1e-8:  # a NaN psi0 fails too
         raise ValueError(f"psi0 must be normalized, got integral {n0:.10f}")
     if not (np.all(np.isfinite(main)) and math.isfinite(off)):
         raise UnstableStep("operator is non-finite")
     lhs_off = np.full(grid.n_x - 3, 0.5j * dt * off)
-    *lu, info = zgttrf(lhs_off, 1.0 + 0.5j * dt * main, lhs_off)
+    rhs, solve, info = _tridiag_solver(lhs_off, 1.0 + 0.5j * dt * main)
     if info != 0:
         raise UnstableStep(f"Crank-Nicolson matrix is singular (zgttrf info {info})")
     rhs_diag, rhs_off = 1.0 - 0.5j * dt * main, -0.5j * dt * off
@@ -559,11 +622,14 @@ def evolve_tdse(
     drift = max_drift = max_edge = 0.0
 
     for step in range(grid.n_t):
-        psi[1:-1], info = zgttrs(*lu, _tridiag_apply(psi[1:-1], rhs_diag, rhs_off))
+        _tridiag_apply(psi[1:-1], rhs_diag, rhs_off, out=rhs)
+        info = solve()
         if info != 0:
             raise UnstableStep(f"zgttrs info {info} at step {step + 1}")
+        psi[1:-1] = rhs
 
-        n_now = norm_of(psi)
+        density = np.abs(psi) ** 2
+        n_now = float(np.trapezoid(density, dx=dx))
         drift = abs(n_now - n0)
         if not drift <= norm_tolerance:  # a NaN norm fails too
             raise UnstableStep(
@@ -571,9 +637,7 @@ def evolve_tdse(
                 f"(tolerance {norm_tolerance:.1e})"
             )
         max_drift = max(max_drift, drift)
-        edge_mass = float(
-            np.sum(np.abs(psi[:edge]) ** 2) + np.sum(np.abs(psi[-edge:]) ** 2)
-        ) * dx
+        edge_mass = float(np.sum(density[:edge]) + np.sum(density[-edge:])) * dx
         max_edge = max(max_edge, edge_mass)
         if check_boundary and edge_mass > boundary_mass_limit:
             raise BoundaryContact(

@@ -166,6 +166,17 @@ class TestRobustFit:
         with pytest.raises(InsufficientData):
             fit_robust_solution(self.thetas[:5], np.cos(self.thetas[:5]))
 
+    def test_distinct_angles_counted(self):
+        # 16 angles spanning [0, pi], but only 7 distinct values.
+        thetas = np.linspace(0, math.pi, 7)[np.arange(16) % 7]
+        with pytest.raises(InsufficientData, match="8 distinct"):
+            fit_robust_solution(thetas, np.cos(thetas))
+
+    def test_non_finite_angle(self):
+        thetas = np.append(np.linspace(0, math.pi, 15), np.nan)
+        with pytest.raises(InsufficientData, match="finite"):
+            fit_robust_solution(thetas, np.cos(thetas))
+
     def test_span_required(self):
         short = np.linspace(0, 2.0, 16)
         with pytest.raises(InsufficientData):

@@ -1,4 +1,6 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 from scipy.stats import norm as gaussian_dist
 
+from li_qt import wave_dynamics
 from li_qt.errors import BoundaryContact, PhaseUndefined, UnstableStep
 from li_qt.wave_dynamics import (
     DetectorData,
@@ -31,7 +34,7 @@ from li_qt.wave_dynamics import (
     simulate_detector_clicks,
     wave_to_polar,
 )
-from li_qt.wave_dynamics import _hamiltonian_diagonals
+from li_qt.wave_dynamics import _hamiltonian_diagonals, _tridiag_solver
 
 
 def normalized_gaussian(grid: SpatialGrid, sigma: float, center: float = 0.0) -> np.ndarray:
@@ -455,6 +458,13 @@ class TestEvolver:
         with pytest.raises(UnstableStep):
             evolve_tdse(gaussian_packet(grid), params, grid)
 
+    def test_nan_initial_state_rejected(self):
+        grid = SpatialGrid(L=6.0, n_x=128, dt=1e-3, n_t=10)
+        psi0 = gaussian_packet(grid).psi[0].copy()
+        psi0[40] = np.nan
+        with pytest.raises(ValueError, match="normalized"):
+            evolve_tdse(psi0, PhysicalParams(), grid)
+
     def test_norm_drift_covers_unstored_steps(self):
         # 23 steps with stride 10 store t = 0, 10, 20 only; the drift
         # diagnostics still come from every step, the last one included.
@@ -640,3 +650,49 @@ class TestMadelung:
         ratio_q = coarse.quantum_hj_rms / fine.quantum_hj_rms
         assert 2.5 < ratio_c < 8.0
         assert 2.5 < ratio_q < 8.0
+
+
+@pytest.fixture(params=["numpy", "scipy"])
+def lapack_binding(request, monkeypatch):
+    """Run a test through numpy's OpenBLAS binding, then through SciPy's wrappers."""
+    if request.param == "numpy" and wave_dynamics._LAPACK is None:
+        pytest.skip("this numpy bundles no zgttrf/zgttrs")
+    if request.param == "scipy":
+        monkeypatch.setattr(wave_dynamics, "_LAPACK", None)
+    return request.param
+
+
+class TestLapackBinding:
+    @CN_SETTINGS
+    @given(CN_CASES)
+    def test_scipy_fallback_matches_bitwise(self, case):
+        psi0, params, grid = _cn_problem(case)
+        kwargs = dict(store_every=case["store_every"], check_boundary=False)
+        numpy_path = evolve_tdse(psi0, params, grid, **kwargs)
+        with mock.patch.object(wave_dynamics, "_LAPACK", None):
+            scipy_path = evolve_tdse(psi0, params, grid, **kwargs)
+        for field in ("psi", "norms", "energies"):
+            assert np.array_equal(getattr(numpy_path, field), getattr(scipy_path, field))
+        for field in ("norm_drift", "max_norm_drift", "max_edge_mass"):
+            assert getattr(numpy_path, field) == getattr(scipy_path, field)
+
+    def test_rejects_mismatched_sizes(self, lapack_binding):
+        with pytest.raises(ValueError, match="one shorter"):
+            _tridiag_solver(np.zeros(14, dtype=complex), np.ones(14, dtype=complex))
+
+    def test_singular_cn_matrix_raises(self, lapack_binding, monkeypatch):
+        grid = SpatialGrid(L=6.0, n_x=128, dt=1e-3, n_t=10)
+        main = np.full(grid.n_x - 2, 1.0, dtype=complex)
+        main[30] = 2j / grid.dt  # 1 + i dt/2 * main is 0 there
+        monkeypatch.setattr(wave_dynamics, "_hamiltonian_diagonals", lambda g, p: (main, 0.0))
+        with pytest.raises(UnstableStep, match="singular"):
+            evolve_tdse(gaussian_packet(grid), PhysicalParams(), grid)
+
+    def test_overflowing_cn_matrix_raises(self, lapack_binding):
+        # A finite operator whose CN matrices overflow: the factors and every
+        # solve are non-finite, and the norm check stops the first step.
+        grid = SpatialGrid(L=6.0, n_x=128, dt=1e308, n_t=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(UnstableStep, match="step 1 "):
+                evolve_tdse(gaussian_packet(grid), PhysicalParams(), grid)
