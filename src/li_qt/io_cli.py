@@ -74,13 +74,13 @@ def _require(data: dict, fields: dict, path: Path) -> dict:
     return data
 
 
-# kind -> (header, dtype, allowed values of every column after ``index``).  A
-# leading ``index`` column is written as, and must read back as, 0..n-1.  Cells
-# are written as %d (integer kinds) or %.17g (float kinds, so NaN reads "nan");
-# rows end in "\r\n" on write, either line ending is accepted on read.
+# kind -> (header, dtype, allowed values of every column after ``index``).  Event
+# logs (allowed (-1, 1)) are byte-coded rows "i,±1[,±1]", i = 0..n-1, read back as
+# int8 cells without the index; other kinds use %d or %.17g (NaN reads "nan") and
+# ``np.loadtxt``.  Rows end in "\r\n"; on read "\n" also does, and the last may not.
 _SCHEMAS = {
-    "sg": (("index", "outcome"), np.int64, (-1, 1)),
-    "eprb": (("index", "x", "y"), np.int64, (-1, 1)),
+    "sg": (("index", "outcome"), np.int8, (-1, 1)),
+    "eprb": (("index", "x", "y"), np.int8, (-1, 1)),
     "detector": (("tau", "j", "count"), np.int64, None),
     "sg_correlations": (("ax", "ay", "az", "mx", "my", "mz", "mean_x"), np.float64, None),
     "eprb_correlations": (
@@ -109,39 +109,86 @@ _MANIFEST_FIELDS = {
 
 
 def _write_table(path: Path, kind: str, columns: list[np.ndarray]) -> None:
-    """Write ``columns`` (the index excluded) as the CSV table ``kind``."""
-    header, dtype, _ = _SCHEMAS[kind]
+    """Write ``columns`` (an event log's index excluded) as the CSV table ``kind``."""
+    header, dtype, allowed = _SCHEMAS[kind]
+    head = ",".join(header) + "\r\n"
+    if allowed is None:
+        cell = "%d" if np.issubdtype(dtype, np.integer) else _FLOAT_FMT
+        row = ",".join([cell] * len(header)) + "\r\n"
+        cells = tuple(np.column_stack(columns).ravel().tolist())
+        path.write_text(head + (row * len(columns[0])) % cells, newline="")
+        return
     n = len(columns[0])
-    if header[0] == "index":
-        columns = [np.arange(n), *columns]
-    cell = "%d" if np.issubdtype(dtype, np.integer) else _FLOAT_FMT
-    row = ",".join([cell] * len(header)) + "\r\n"
-    cells = tuple(np.column_stack(columns).ravel().tolist())
-    path.write_text(",".join(header) + "\r\n" + (row * n) % cells, newline="")
+    # Row end offsets, int32 below 10**8 rows (at most 16 bytes each, so under 2 GiB).
+    ends = np.sum([col < 0 for col in columns], 0, np.int32 if n < 10**8 else np.int64)
+    ends += 2 * len(columns) + 3  # the length of row i < 10: one digit, ",1" per cell, "\r\n"
+    for m in range(1, len(str(n - 1)) if n else 0):
+        ends[10**m:] += 1
+    np.cumsum(ends, out=ends)
+    ends += len(head)
+    buf = np.empty(ends[-1] if n else len(head), np.uint8)
+    buf[:len(head)] = np.frombuffer(head.encode(), np.uint8)
+    buf[ends - 1] = ord("\n")
+    ends -= 2  # from here on, where the part of each row written so far starts
+    buf[ends] = ord("\r")
+    for col in reversed(columns):
+        neg = (col < 0).view(np.uint8)
+        buf[ends - 1] = ord("1")
+        buf[ends - 2] = neg + ord(",")  # "-" is "," + 1
+        ends -= neg + 2
+        buf[ends] = ord(",")
+    for m in range(len(str(n - 1)) if n else 0):
+        first = 10**m if m else 0  # the indices with a 10**m digit
+        buf[ends[first:] - 1 - m] = np.arange(first, n, dtype=ends.dtype) // 10**m % 10 + ord("0")
+    path.write_bytes(buf)
 
 
 def _read_table(path: Path, kind: str) -> np.ndarray:
-    """The rows of the CSV table ``kind`` at ``path``, validated in bulk."""
+    """The data columns of the CSV table ``kind`` at ``path``, validated in bulk."""
     header, dtype, allowed = _SCHEMAS[kind]
-    with Path(path).open() as fh:
-        found = fh.readline().rstrip("\n").split(",")
-        if found != list(header):
-            raise SchemaMismatch(f"{path}: expected header {list(header)}, got {found}")
+    raw = Path(path).read_bytes()
+    if not raw.endswith(b"\n"):
+        raw += b"\r\n"  # the missing last line ending; a lone "\r" before it stays wrong
+    head = raw.index(b"\n")
+    found = raw[:head].removesuffix(b"\r").decode(errors="replace").split(",")
+    if found != list(header):
+        raise SchemaMismatch(f"{path}: expected header {list(header)}, got {found}")
+    if allowed is None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             try:
-                rows = np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=2, comments=None)
+                rows = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2, comments=None,
+                                  skiprows=1)
             except ValueError as exc:
                 raise CorruptData(f"{path}: {exc}") from exc
-    if rows.size == 0:
-        rows = rows.reshape(0, len(header))
-    if rows.shape[1] != len(header):
-        raise CorruptData(f"{path}: rows have {rows.shape[1]} columns, header {len(header)}")
-    if header[0] == "index" and not np.array_equal(rows[:, 0], np.arange(len(rows))):
-        raise CorruptData(f"{path}: index column is not 0..{len(rows) - 1}")
-    if allowed is not None and not np.isin(rows[:, 1:], allowed).all():
-        raise CorruptData(f"{path}: values outside {set(allowed)}")
-    return rows
+        if rows.size == 0:
+            rows = rows.reshape(0, len(header))
+        if rows.shape[1] != len(header):
+            raise CorruptData(f"{path}: rows have {rows.shape[1]} columns, header {len(header)}")
+        return rows
+    buf = np.frombuffer(raw, np.uint8)
+    newlines = np.flatnonzero(buf == ord("\n")).astype(np.int32 if len(raw) < 2**31 else np.int64)
+    ends = newlines[1:] - (buf[newlines[1:] - 1] == ord("\r"))  # newlines[1:] - 1 >= head
+    k, n = len(header) - 1, len(ends)
+    ok = ends - newlines[:-1] > 2 * k + 1
+    if not ok.all():  # checked before any gather that such a row could wrap around
+        raise CorruptData(f"{path}: data row {np.argmin(ok) + 1} is blank or too short")
+    cells = np.empty((k, n), np.int8)
+    for j in reversed(range(k)):  # step back over ",1" or ",-1"
+        ok &= buf[ends - 1] == ord("1")
+        neg = (buf[ends - 2] == ord("-")).view(np.int8)
+        cells[j] = 1 - 2 * neg
+        ends -= neg + 2
+        ok &= buf[ends] == ord(",")
+    for m in range(len(str(n - 1)) if n else 0):  # the index digits, and a newline before them
+        first = 10**m if m else 0
+        digits = np.arange(first, n, dtype=ends.dtype) // 10**m % 10 + ord("0")
+        ok[first:] &= buf[ends[first:] - 1 - m] == digits
+        exact = slice(first, 10 ** (m + 1))  # the indices with m + 1 digits
+        ok[exact] &= buf[ends[exact] - 2 - m] == ord("\n")
+    if not ok.all():
+        raise CorruptData(f"{path}: data row {np.argmin(ok) + 1} is not 'index,±1' cells")
+    return cells.T
 
 
 def _save(base: Path, kind: str, columns: list[np.ndarray], **meta) -> list[Path]:
@@ -232,7 +279,7 @@ def load_events(base: Path) -> EventLog | PairEventLog | DetectorData:
     conditions = ExperimentConditions(label=cond["label"], parameters=cond["parameters"])
     if kind == "sg":
         log = EventLog(
-            outcomes=rows[:, 1],
+            outcomes=rows[:, 0],
             a=UnitVector3.from_array(meta["a"]),
             m_direction=UnitVector3.from_array(meta["m"]),
             seed=meta["seed"],
@@ -240,8 +287,7 @@ def load_events(base: Path) -> EventLog | PairEventLog | DetectorData:
         )
     else:
         log = PairEventLog(
-            xs=rows[:, 1],
-            ys=rows[:, 2],
+            *rows.T,
             a1=UnitVector3.from_array(meta["a1"]),
             a2=UnitVector3.from_array(meta["a2"]),
             seed=meta["seed"],
@@ -259,8 +305,7 @@ def load_external_pair_csv(
     path: Path, a1: UnitVector3, a2: UnitVector3
 ) -> PairEventLog:
     """Ingest a bare index,x,y CSV (no sidecar) with orientations from flags."""
-    rows = _read_table(path, "eprb")
-    return PairEventLog(xs=rows[:, 1], ys=rows[:, 2], a1=a1, a2=a2, seed=-1)
+    return PairEventLog(*_read_table(path, "eprb").T, a1=a1, a2=a2, seed=-1)
 
 
 def save_operator(op: separation.HermitianOperator, path: Path) -> Path:

@@ -611,11 +611,14 @@ def evolve_tdse(
         raise ValueError(f"psi0 must be normalized, got integral {n0:.10f}")
     if not (np.all(np.isfinite(main)) and math.isfinite(off)):
         raise UnstableStep("operator is non-finite")
-    lhs_off = np.full(grid.n_x - 3, 0.5j * dt * off)
-    rhs, solve, info = _tridiag_solver(lhs_off, 1.0 + 0.5j * dt * main)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge dt overflows: checked below
+        lhs_diag, rhs_diag = 1.0 + 0.5j * dt * main, 1.0 - 0.5j * dt * main
+    lhs_off, rhs_off = 0.5j * dt * off, -0.5j * dt * off
+    if not (np.all(np.isfinite(lhs_diag)) and np.isfinite(lhs_off)):  # the RHS's magnitudes
+        raise UnstableStep("Crank-Nicolson matrix is non-finite")
+    rhs, solve, info = _tridiag_solver(np.full(grid.n_x - 3, lhs_off), lhs_diag)
     if info != 0:
         raise UnstableStep(f"Crank-Nicolson matrix is singular (zgttrf info {info})")
-    rhs_diag, rhs_off = 1.0 - 0.5j * dt * main, -0.5j * dt * off
 
     edge = min(5, grid.n_x // 4)
     stored = [psi.copy()]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -8,12 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import li_qt
 from li_qt import separation
 from li_qt.errors import CorruptData, SchemaMismatch
-from li_qt.eprb_experiment import sample_eprb
+from li_qt.eprb_experiment import PairEventLog, sample_eprb
 from li_qt.io_cli import (
+    _read_table,
+    _write_table,
     load_events,
     load_external_pair_csv,
     load_operator,
@@ -149,6 +154,21 @@ class TestPinnedBytes:
             "eprb/eprb_000.json": "3b0a8fae4125fb385c37ae07d139f78de8542ebe536002460e21766f10552a18",
         }
 
+    def test_cli_logs_past_four_digit_indices(self, tmp_path):
+        # Recorded with the %d writer: indices 10000..100000 have 5 and 6 digits.
+        assert run_command(["sg", "run", "--theta", "1.1", "--n", "100001", "--seed", "13",
+                            "--out", str(tmp_path / "sg")]) == 0
+        assert run_command(["eprb", "run", "--theta", "1.9", "--n", "100001", "--seed", "17",
+                            "--out", str(tmp_path / "eprb")]) == 0
+        assert {name: _sha(tmp_path / name) for name in (
+            "sg/sg_000.csv", "sg/sg_000.json", "eprb/eprb_000.csv", "eprb/eprb_000.json",
+        )} == {
+            "sg/sg_000.csv": "7bd1d92d3e545e29efdb1fa2eefcf524d38872d75b95d9efc258d83be963f737",
+            "sg/sg_000.json": "af54b11360adc0282ccf93b6f9a6866dc61ced55b4675f79a5a4ecbeba2fb50c",
+            "eprb/eprb_000.csv": "172eaaafe382a1285e699628063edb798ee117da6fd4d29fc615803dd30f70bf",
+            "eprb/eprb_000.json": "3b04d8326b5a6227c6594a4fd36235ea8a7a7f3f8159bc242098bff65b7cd1ae",
+        }
+
     def test_detector_data(self, tmp_path):
         grid = SpatialGrid(L=5.0, n_x=256, dt=0.1, n_t=3)
         P = np.exp(-grid.x**2)
@@ -205,6 +225,21 @@ MALFORMED = {
     "detector_missing_cell": ("detector", "tau,j,count\n0,-1,2\n0,0,3\n"),
     "detector_tau_out_of_range": ("detector", "tau,j,count\n3,-1,2\n0,0,3\n0,1,0\n"),
 }
+# Spellings np.loadtxt accepted and reinterpreted, in an sg and in an eprb log;
+# the event-log reader takes only what the writer writes.
+LOOSE_SPELLINGS = {
+    "plus_sign": ("index,outcome\n0,+1\n", "index,x,y\n0,1,+1\n"),
+    "space_before_cell": ("index,outcome\n0, 1\n", "index,x,y\n0, 1,-1\n"),
+    "space_after_cell": ("index,outcome\n0,1 \n", "index,x,y\n0,1,-1 \n"),
+    "tab_before_cell": ("index,outcome\n0,\t1\n", "index,x,y\n0,1,\t-1\n"),
+    "index_leading_zero": ("index,outcome\n00,1\n", "index,x,y\n00,1,-1\n"),
+    "blank_line_inside": ("index,outcome\n0,1\n\n1,-1\n", "index,x,y\n0,1,-1\n\n1,-1,1\n"),
+    "blank_line_at_end": ("index,outcome\n0,1\n1,-1\n\n", "index,x,y\n0,1,-1\n1,-1,1\n\n"),
+    "lone_cr_in_rows": ("index,outcome\n0,1\r1,-1\r", "index,x,y\n0,1,-1\r1,-1,1\r"),
+    "lone_cr_line_endings": ("index,outcome\r0,1\r1,-1\r", "index,x,y\r0,1,-1\r1,-1,1\r"),
+}
+MALFORMED.update({f"{name}_{kind}": (kind, text) for name, texts in LOOSE_SPELLINGS.items()
+                  for kind, text in zip(("sg", "eprb"), texts)})
 
 
 def _drop_sidecar_field(csv_path: Path, key: str) -> None:
@@ -236,10 +271,16 @@ class TestMalformedFiles:
         elif kind == "eprb":
             assert run_command(["eprb", "test", str(tmp_path)]) == 2
 
+    def test_header_not_utf8(self, tmp_path):
+        csv_path = _write_log(tmp_path, "sg", 1)
+        csv_path.write_bytes(b"index,outcome\xff\r\n0,1\r\n")
+        with pytest.raises(SchemaMismatch, match="expected header"):
+            load_events(csv_path)
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_rejected(self, tmp_path, case):
         kind, text = MALFORMED[case]
-        n = text.count("\n") - 1
+        n = sum(1 for line in text.splitlines() if line.strip()) - 1  # rows np.loadtxt would read
         csv_path = _write_log(tmp_path, kind, n)
         csv_path.write_text(text)
         with pytest.raises((CorruptData, SchemaMismatch)):
@@ -250,6 +291,116 @@ class TestMalformedFiles:
             assert run_command(["eprb", "test", str(tmp_path)]) == 2
             assert run_command(["eprb", "test", str(csv_path), "--a1", "0,0,1",
                                 "--a2", "1,0,0"]) == 2
+
+
+def _log_columns(kind: str, n: int, seed: int, p_minus: float) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return [np.where(rng.random(n) < p_minus, -1, 1).astype(np.int8)
+            for _ in range(1 if kind == "sg" else 2)]
+
+
+def _save_log(tmp_path: Path, kind: str, n: int, seed: int = 1) -> Path:
+    """A valid log of ``n`` >= 0 random events, saved as ``sg_000`` or ``eprb_000``."""
+    columns = _log_columns(kind, n, seed, 0.5)
+    if kind == "sg":
+        save_event_log(EventLog(*columns, a=X, m_direction=Z, seed=seed), tmp_path / "sg_000")
+    else:
+        save_pair_log(PairEventLog(*columns, a1=Z, a2=X, seed=seed), tmp_path / "eprb_000")
+    return tmp_path / f"{kind}_000.csv"
+
+
+def _percent_d_log(kind: str, columns: list[np.ndarray]) -> bytes:
+    """An event log as the %d writer wrote it before the byte-level codec."""
+    header = ("index", "outcome") if kind == "sg" else ("index", "x", "y")
+    n = len(columns[0])
+    row = ",".join(["%d"] * len(header)) + "\r\n"
+    cells = tuple(np.column_stack([np.arange(n), *columns]).ravel().tolist())
+    return (",".join(header) + "\r\n" + (row * n) % cells).encode()
+
+
+def _grammar_cells(data: bytes, kind: str) -> list[tuple[int, ...]] | None:
+    r"""The cells the documented event-log grammar reads from ``data``, or None.
+
+    Rows "i,±1[,±1]" for i = 0..n-1 follow the header; every line ends in
+    "\r\n" or "\n", except that the last one may end in nothing.
+    """
+    header = b"index,outcome" if kind == "sg" else b"index,x,y"
+    lines = data.split(b"\n")
+    ended = lines[-1] == b""
+    if ended:
+        lines.pop()
+    lines = [line.removesuffix(b"\r") if ended or i < len(lines) - 1 else line
+             for i, line in enumerate(lines)]
+    if not lines or lines[0] != header:
+        return None
+    pattern = rb"(0|[1-9][0-9]*)" + rb",(-?1)" * header.count(b",")
+    cells = []
+    for i, line in enumerate(lines[1:]):
+        match = re.fullmatch(pattern, line)
+        if match is None or int(match.group(1)) != i:
+            return None
+        cells.append(tuple(int(cell) for cell in match.groups()[1:]))
+    return cells
+
+
+# n across the edges of the index widths, 1 to 6 digits.
+WIDTH_EDGES = [0, 1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001,
+               99999, 100000, 100001, 120000]
+KINDS = st.sampled_from(["sg", "eprb"])
+
+
+class TestEventLogCodec:
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(KINDS, st.one_of(st.sampled_from(WIDTH_EDGES), st.integers(0, 120_000)),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5, 1.0]))
+    def test_same_bytes_as_percent_d_and_round_trip(self, tmp_path_factory, kind, n, seed,
+                                                    p_minus):
+        path = tmp_path_factory.mktemp("codec") / "log.csv"
+        columns = _log_columns(kind, n, seed, p_minus)
+        _write_table(path, kind, columns)
+        assert path.read_bytes() == _percent_d_log(kind, columns)
+        cells = _read_table(path, kind)
+        assert cells.dtype == np.int8 and cells.shape == (n, len(columns))
+        assert all(np.array_equal(cells[:, j], col) for j, col in enumerate(columns))
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(KINDS, st.integers(0, 25), st.integers(0, 2**32 - 1),
+           st.sampled_from(["flip", "insert", "delete"]), st.integers(0, 2**20),
+           st.one_of(st.sampled_from(b"0123456789,-+\r\n \t"), st.integers(0, 255)))
+    def test_one_byte_mutation_reads_as_the_grammar_says_or_raises(
+        self, tmp_path_factory, kind, n, seed, op, where, byte
+    ):
+        csv_path = _save_log(tmp_path_factory.mktemp("mutation"), kind, n, seed)
+        data = csv_path.read_bytes()
+        at = where % (len(data) + (op == "insert"))
+        tail = data[at:] if op == "insert" else data[at + 1:]
+        csv_path.write_bytes(data[:at] + (b"" if op == "delete" else bytes([byte])) + tail)
+        expected = _grammar_cells(csv_path.read_bytes(), kind)
+        try:
+            log = load_events(csv_path)
+        except (SchemaMismatch, CorruptData):
+            assert expected is None or len(expected) != n
+            return
+        assert expected is not None
+        got = log.outcomes[:, None] if kind == "sg" else np.column_stack([log.xs, log.ys])
+        assert got.tolist() == [list(row) for row in expected]
+
+    @pytest.mark.parametrize("kind", ["sg", "eprb"])
+    @pytest.mark.parametrize("n", [0, 1, 25])
+    @pytest.mark.parametrize("ending", ["crlf", "lf", "mixed", "crlf_unended", "lf_unended"])
+    def test_line_endings_load_equal(self, tmp_path, kind, n, ending):
+        csv_path = _save_log(tmp_path, kind, n)
+        written = load_events(csv_path)
+        lines = csv_path.read_bytes().split(b"\r\n")[:-1]
+        eols = {"crlf": (b"\r\n",), "lf": (b"\n",), "mixed": (b"\n", b"\r\n")}[
+            ending.removesuffix("_unended")]
+        data = b"".join(line + eols[i % len(eols)] for i, line in enumerate(lines))
+        csv_path.write_bytes(data.removesuffix(b"\n").removesuffix(b"\r")
+                             if ending.endswith("unended") else data)
+        loaded = load_events(csv_path)
+        for field in ("outcomes",) if kind == "sg" else ("xs", "ys"):
+            assert np.array_equal(getattr(loaded, field), getattr(written, field))
+        assert _grammar_cells(csv_path.read_bytes(), kind) is not None
 
 
 class TestOperatorPersistence:
@@ -495,6 +646,12 @@ class TestCli:
             "continuum Fisher of a unit Gaussian: 1.000000 (expect 1.0, off by 1.60e-07)",
             "discrete Fisher fine bins: 0.999867; jointly shifted: 0.999867",
         ]
+
+    def test_evolve_overflowing_cn_matrix_exit_3(self, tmp_path):
+        proc = _run_python(["-m", "li_qt", "evolve", "--grid", "10,64,1e308,3",
+                            "--out", str(tmp_path)])
+        assert proc.returncode == 3
+        assert proc.stderr == "contract failure: UnstableStep: Crank-Nicolson matrix is non-finite\n"
 
     def test_check_fq_small(self):
         assert run_command(["check", "fq", "--trials", "5"]) == 0

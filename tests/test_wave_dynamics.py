@@ -689,10 +689,10 @@ class TestLapackBinding:
             evolve_tdse(gaussian_packet(grid), PhysicalParams(), grid)
 
     def test_overflowing_cn_matrix_raises(self, lapack_binding):
-        # A finite operator whose CN matrices overflow: the factors and every
-        # solve are non-finite, and the norm check stops the first step.
+        # A finite operator whose CN matrices overflow is rejected before it is
+        # factored, and numpy warns about nothing on the way.
         grid = SpatialGrid(L=6.0, n_x=128, dt=1e308, n_t=3)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(UnstableStep, match="step 1 "):
+            warnings.simplefilter("error")
+            with pytest.raises(UnstableStep, match="^Crank-Nicolson matrix is non-finite$"):
                 evolve_tdse(gaussian_packet(grid), PhysicalParams(), grid)
