@@ -393,6 +393,8 @@ def _parse_theta_grid(text: str) -> np.ndarray:
     """Either a single angle or start:stop:count."""
     if ":" in text:
         start, stop, count = text.split(":")
+        if int(count) < 1:
+            raise ConfigError(f"--theta-grid needs at least one angle, got count {count}")
         return np.linspace(float(start), float(stop), int(count))
     return np.array([float(text)])
 
@@ -626,7 +628,10 @@ def _cmd_check_fq(args) -> int:
             wave_dynamics.polar_to_wave(fields, params.lam), params, grid,
             x_scheme="spectral",
         )
-        worst = max(worst, abs(F - Q) / (abs(F) + abs(Q)))
+        # With F's Fisher term I_F, the scale 2 I_F + |F - I_F| + |Q - I_F| is
+        # |F| + |Q| unless a dynamic part is negative, and never cancels.
+        fisher = wave_dynamics.fisher_continuum(fields, grid, x_scheme="spectral")
+        worst = max(worst, abs(F - Q) / (2 * fisher + abs(F - fisher) + abs(Q - fisher)))
     print(f"max relative |F - Q| over {args.trials} trials: {worst:.3e}")
     return EXIT_OK if worst < 1e-8 else EXIT_CONTRACT
 

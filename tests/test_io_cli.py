@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import li_qt
-from li_qt import separation
+from li_qt import separation, wave_dynamics
 from li_qt.errors import CorruptData, SchemaMismatch
 from li_qt.eprb_experiment import PairEventLog, sample_eprb
 from li_qt.io_cli import (
@@ -656,6 +656,19 @@ class TestCli:
     def test_check_fq_small(self):
         assert run_command(["check", "fq", "--trials", "5"]) == 0
 
+    @pytest.mark.parametrize("seed", [1469, 1870, 4452, 5087, 7020])
+    def test_check_fq_nearly_cancelling_functional(self, seed, capsys):
+        # F nearly cancels at these seeds, so |F| + |Q| was too small a scale.
+        assert run_command(["check", "fq", "--trials", "1", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out.startswith("max relative |F - Q| over 1 trials: ")
+
+    def test_check_fq_fails_on_a_wrong_q(self, monkeypatch, capsys):
+        exact_q = wave_dynamics.functional_Q
+        monkeypatch.setattr(wave_dynamics, "functional_Q",
+                            lambda *args, **kwargs: (1 + 1e-6) * exact_q(*args, **kwargs))
+        assert run_command(["check", "fq", "--trials", "1", "--seed", "90000"]) == 3
+        assert capsys.readouterr().out == "max relative |F - Q| over 1 trials: 5.000e-07\n"
+
     def test_manifest_config_records_every_flag(self, tmp_path):
         assert run_command(["evolve", "--grid", "10,64,0.001,10", "--stride", "5",
                             "--allow-boundary", "--out", str(tmp_path / "ev")]) == 0
@@ -749,6 +762,17 @@ EXIT_CASES = {
     "sidecar_conditions_list": (_sg_log_with("conditions", [1]), 2,
                                 "wrong type for ['conditions']"),
     "sidecar_seed_list": (_sg_log_with("seed", [1]), 2, "wrong type for ['seed']"),
+    "grid_dt_nan": (lambda tmp: ["evolve", "--grid", "10,64,nan,5", "--out", str(tmp)],
+                    2, "time step dt must be finite and positive, got nan"),
+    "grid_L_inf": (lambda tmp: ["evolve", "--grid", "inf,64,0.001,5", "--out", str(tmp)],
+                   2, "half-extent L must be finite and positive, got inf"),
+    "mass_inf": (_evolve_with("--mass", "inf"), 2, "mass must be finite and positive, got inf"),
+    "lambda_nan": (_evolve_with("--lambda", "nan"), 2, "lam must be finite and positive, got nan"),
+    "sg_theta_grid_empty": (lambda tmp: ["sg", "run", "--theta-grid", "0:1:0", "--out", str(tmp)],
+                            2, "--theta-grid needs at least one angle"),
+    "eprb_theta_grid_empty": (lambda tmp: ["eprb", "run", "--theta-grid", "0:1:0",
+                                           "--out", str(tmp)],
+                              2, "--theta-grid needs at least one angle"),
     "non_separable": (lambda tmp: ["separate", "sg", "--input",
                                    str(_sg_correlations(tmp / "corr.csv", power=2))],
                       3, "NonSeparable"),

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -555,6 +556,55 @@ def _banded_reference(psi0, params, grid, store_every):
             stored.append(psi.copy())
     norms = [float(np.trapezoid(np.abs(p) ** 2, dx=dx)) for p in stored]
     return np.array(stored), np.array(norms), np.array([energy_of(p) for p in stored])
+
+
+class TestBlockedDiagnostics:
+    """The evolver computes its diagnostics once per block of steps.
+
+    Blocks hold 16 steps: the grids below end just before, on and just after
+    a block edge, and the failures fall inside a block.
+    """
+
+    @staticmethod
+    def evolve(psi0, params, grid, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return evolve_tdse(psi0, params, grid, **kwargs)
+
+    @pytest.mark.parametrize("n_t", [1, 15, 16, 17, 35])
+    @pytest.mark.parametrize("store_every", [1, 3, 16, 100])
+    def test_block_edges_match_banded_reference(self, n_t, store_every):
+        grid = SpatialGrid(L=10.0, n_x=128, dt=0.01, n_t=n_t)
+        params = PhysicalParams(potential=harmonic_potential())
+        psi0 = gaussian_packet(grid, x0=0.5)
+        traj = self.evolve(psi0, params, grid, store_every=store_every)
+        psi, norms, energies = _banded_reference(psi0, params, grid, store_every)
+        assert np.array_equal(traj.psi, psi)
+        assert np.array_equal(traj.norms, norms)
+        assert np.array_equal(traj.energies, energies)
+
+    def test_boundary_contact_names_first_step_over_limit(self):
+        grid = SpatialGrid(L=10.0, n_x=512, dt=1e-3, n_t=300)
+        psi0, params = gaussian_packet(grid, p0=20.0), PhysicalParams()
+        every = self.evolve(psi0, params, grid, store_every=1, check_boundary=False)
+        masses = [float(np.sum(np.abs(p[:5]) ** 2) + np.sum(np.abs(p[-5:]) ** 2)) * grid.dx
+                  for p in every.psi[1:]]
+        step = 1 + next(k for k, m in enumerate(masses) if m > 1e-6)
+        assert step % 16 not in (0, 1)
+        message = f"probability {masses[step - 1]:.3e} within 5 cells of the wall at step {step}"
+        with pytest.raises(BoundaryContact, match=f"^{re.escape(message)}$"):
+            self.evolve(psi0, params, grid, store_every=100)
+
+    def test_norm_failure_names_first_step_over_tolerance(self):
+        grid = SpatialGrid(L=10.0, n_x=128, dt=0.01, n_t=40)
+        psi0, params = gaussian_packet(grid), PhysicalParams(potential=harmonic_potential())
+        every = self.evolve(psi0, params, grid, store_every=1)
+        step = int(np.argmax(np.abs(every.norms - every.norms[0]) > 1e-15))
+        assert step % 16 not in (0, 1)
+        message = (f"norm drifted to {every.norms[step]:.12f} at step {step} "
+                   "(tolerance 1.0e-15)")
+        with pytest.raises(UnstableStep, match=f"^{re.escape(message)}$"):
+            self.evolve(psi0, params, grid, store_every=7, norm_tolerance=1e-15)
 
 
 # Small random CN problems: a Gaussian in a harmonic well on [-10, 10].  The
