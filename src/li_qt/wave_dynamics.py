@@ -35,6 +35,11 @@ Numerical conventions
   broadcast over the time slices.
 * Single-slice fields are integrated with unit time weight (stationary
   checks); multi-slice fields use trapezoid weights spaced by the grid's dt.
+* Fields are (n_slices, n_x), or (stack, n_slices, n_x) for a stack of
+  independent histories: time is axis -2 and space axis -1.  F, Q and the
+  continuum Fisher term take a stack as they take one history and return one
+  value per history, bitwise equal to separate calls; ``polar_to_wave`` maps
+  a stack to a stack.  The evolver and the Madelung check take one history.
 * The evolver uses Crank-Nicolson stepping with hard-wall (zero-Dirichlet)
   boundaries; it is unitary in exact arithmetic, so norm drift beyond
   tolerance diagnoses a genuinely unstable configuration.
@@ -114,8 +119,8 @@ def _promote(arr, dtype) -> np.ndarray:
     out = np.asarray(arr, dtype=dtype)
     if out.ndim == 1:
         out = out[None, :]
-    if out.ndim != 2:
-        raise ValueError("fields must be 1-d (single slice) or 2-d (time x space)")
+    if out.ndim not in (2, 3):
+        raise ValueError("fields must be 1-d (one slice), 2-d (time x space) or 3-d (a stack)")
     return out
 
 
@@ -124,7 +129,7 @@ class PolarField:
     """Density P >= 0 and phase field S on the grid, one row per time slice.
 
     S entries may be NaN where the density sits below the probability floor
-    (no phase defined there).
+    (no phase defined there).  3-d P and S stack histories on their first axis.
     """
 
     P: np.ndarray
@@ -142,12 +147,12 @@ class PolarField:
 
     @property
     def n_slices(self) -> int:
-        return self.P.shape[0]
+        return self.P.shape[-2]
 
 
 @dataclass(frozen=True)
 class WaveField:
-    """Complex field psi on the grid, one row per time slice."""
+    """Complex field psi on the grid, one row per time slice (3-d: a stack of histories)."""
 
     psi: np.ndarray
 
@@ -156,7 +161,7 @@ class WaveField:
 
     @property
     def n_slices(self) -> int:
-        return self.psi.shape[0]
+        return self.psi.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -203,26 +208,26 @@ class DetectorData:
 # -- derivatives and quadrature ------------------------------------------------
 
 def _d_time(f: np.ndarray, dt: float) -> np.ndarray:
-    """Centered time derivative, one-sided 2nd-order at the end slices.
+    """Centered time derivative along axis -2, one-sided 2nd-order at the end slices.
 
     A single slice has zero derivative; two slices share their forward
     difference.
     """
-    if f.shape[0] == 1:
+    if f.shape[-2] == 1:
         return np.zeros_like(f)
-    return np.gradient(f, dt, axis=0, edge_order=min(2, f.shape[0] - 1))
+    return np.gradient(f, dt, axis=-2, edge_order=min(2, f.shape[-2] - 1))
 
 
 def _d_space_spectral(f: np.ndarray, dx: float) -> np.ndarray:
-    n = f.shape[1]
+    n = f.shape[-1]
     k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
-    df = np.fft.ifft(1j * k * np.fft.fft(f, axis=1), axis=1)
+    df = np.fft.ifft(1j * k * np.fft.fft(f, axis=-1), axis=-1)
     return df if np.iscomplexobj(f) else df.real
 
 
 def _d_space(f: np.ndarray, dx: float, scheme: str) -> np.ndarray:
     if scheme == "fd":
-        return np.gradient(f, dx, axis=1, edge_order=2)
+        return np.gradient(f, dx, axis=-1, edge_order=2)
     if scheme == "spectral":
         return _d_space_spectral(f, dx)
     raise ValueError(f"unknown x-derivative scheme {scheme!r}")
@@ -236,15 +241,15 @@ def _d2_space_fd(f: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _time_integral(per_slice: np.ndarray, dt: float) -> float:
-    """Trapezoid over time slices; a single slice carries unit weight."""
-    if per_slice.size == 1:
-        return float(per_slice[0])
-    return float(np.trapezoid(per_slice, dx=dt))
+def _time_integral(per_slice: np.ndarray, dt: float) -> float | np.ndarray:
+    """Trapezoid over time slices (axis -1), one slice at unit weight; a float per history."""
+    total = (per_slice[..., 0] if per_slice.shape[-1] == 1
+             else np.trapezoid(per_slice, dx=dt, axis=-1))
+    return float(total) if total.ndim == 0 else total
 
 
-def _x_integral(fields_2d: np.ndarray, dx: float) -> np.ndarray:
-    return np.trapezoid(fields_2d, dx=dx, axis=1)
+def _x_integral(fields: np.ndarray, dx: float) -> np.ndarray:
+    return np.trapezoid(fields, dx=dx, axis=-1)
 
 
 def _check_normalized(P: np.ndarray, dx: float, tol: float, what: str) -> None:
@@ -340,7 +345,7 @@ def fisher_continuum(
     grid: SpatialGrid,
     floor: float = PROBABILITY_FLOOR,
     x_scheme: str = "fd",
-) -> float:
+) -> float | np.ndarray:
     """Trapezoid quadrature of int dx dt (dP/dx)^2 / P, floor-masked."""
     P = fields.P
     _check_normalized(P, grid.dx, 1e-8, "P")
@@ -373,7 +378,7 @@ def functional_F(
     grid: SpatialGrid,
     floor: float = PROBABILITY_FLOOR,
     x_scheme: str = "fd",
-) -> float:
+) -> float | np.ndarray:
     """Quadrature of the robust-experiment functional F over (P, S)."""
     P, S = fields.P, fields.S
     _check_normalized(P, grid.dx, 1e-8, "P")
@@ -411,6 +416,8 @@ def wave_to_polar(
     if an entire slice sits below the floor.
     """
     wave = psi if isinstance(psi, WaveField) else WaveField(psi)
+    if wave.psi.ndim != 2:
+        raise ValueError("wave_to_polar takes one history, not a stack")
     P = np.abs(wave.psi) ** 2
     S = np.full(P.shape, np.nan)
     scale = 2.0 / math.sqrt(lam)
@@ -429,7 +436,7 @@ def functional_Q(
     grid: SpatialGrid,
     x_scheme: str = "fd",
     norm_tol: float = 1e-8,
-) -> float:
+) -> float | np.ndarray:
     """Quadrature of the quadratic functional Q over a wavefunction history.
 
     The time term 2 i m sqrt(lam) (psi dpsi*/dt - psi* dpsi/dt) is evaluated
@@ -438,14 +445,17 @@ def functional_Q(
     """
     arr = psi.psi
     _check_normalized(np.abs(arr) ** 2, grid.dx, norm_tol, "|psi|^2")
-    dpsi_dt = _d_time(arr, grid.dt)
-    dpsi_dx = _d_space(arr, grid.dx, x_scheme)
 
-    z = arr * np.conj(dpsi_dt)  # psi dpsi*/dt; the pair term is z - conj(z)
+    # Named, so a stack rounds as one history does: numpy would multiply by a
+    # temporary of 256 KB or more in place, rounding the complex product otherwise.
+    dpsi_dt_conj = np.conj(_d_time(arr, grid.dt))
+    z = arr * dpsi_dt_conj  # psi dpsi*/dt; the pair term is z - conj(z)
+    del dpsi_dt_conj  # freed before dpsi/dx is formed: a stack's peak memory stays lower
     time_term = 2 * params.mass * math.sqrt(params.lam) * 1j * (z - np.conj(z))
     stray_imag = float(np.max(np.abs(time_term.imag)))
     if stray_imag >= 1e-10:
         raise AssertionError(f"time term not real: residual imag {stray_imag:.2e}")
+    dpsi_dx = _d_space(arr, grid.dx, x_scheme)
     integrand = (
         time_term.real
         + 4 * np.abs(dpsi_dx) ** 2
@@ -684,7 +694,7 @@ def evolve_tdse(
 def random_polar_fields(
     grid: SpatialGrid,
     n_slices: int,
-    seed: int,
+    seed: int | Sequence[int],
     n_modes: int = 4,
     phase_scale: float = 0.5,
 ) -> PolarField:
@@ -692,28 +702,30 @@ def random_polar_fields(
 
     Built from a few low trigonometric modes periodic over the box of length
     n_x * dx, so the spectral derivative scheme is exact on them; P is kept
-    well above the probability floor and normalized slice by slice.
+    well above the probability floor and normalized slice by slice.  A
+    sequence of seeds gives the stack of their fields, row i that of seed i.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    x = grid.x
-    period = grid.n_x * grid.dx
+    seeds = seed if np.ndim(seed) else [seed]
+    # Per seed, sum (P's bump, then S) and mode: amp_c, amp_s, omega, phi0.
+    draws = np.array([np.random.Generator(np.random.PCG64(s)).normal(size=8 * n_modes)
+                      for s in seeds]).reshape(*np.shape(seed), 2, n_modes, 4)
+    k = np.arange(1, n_modes + 1)
+    angles = 2 * np.pi * k[:, None] * grid.x / (grid.n_x * grid.dx)
+    mode_c, mode_s = np.cos(angles), np.sin(angles)
     times = grid.times(n_slices)
 
-    def trig_sum(scale: float) -> np.ndarray:
-        out = np.zeros((n_slices, grid.n_x))
-        for k in range(1, n_modes + 1):
-            amp_c, amp_s = rng.normal(size=2) * scale / k
-            mode_c = np.cos(2 * np.pi * k * x / period)
-            mode_s = np.sin(2 * np.pi * k * x / period)
-            omega, phi0 = rng.normal(size=2)
-            temporal = 1.0 + 0.3 * np.sin(omega * times + phi0)
-            out += temporal[:, None] * (amp_c * mode_c + amp_s * mode_s)[None, :]
-        return out
+    def trig_sum(d: np.ndarray, scale: float) -> np.ndarray:
+        amp = d[..., :2] * scale / k[:, None]
+        spatial = amp[..., :1] * mode_c + amp[..., 1:] * mode_s
+        temporal = 1.0 + 0.3 * np.sin(d[..., 2:3] * times + d[..., 3:])
+        # Added mode by mode onto zeros, in the order the draws were made, for the same bits.
+        return sum((temporal[..., j, :, None] * spatial[..., j, None, :] for j in range(n_modes)),
+                   np.zeros((*np.shape(seed), n_slices, grid.n_x)))
 
-    bump = trig_sum(1.0)
+    bump = trig_sum(draws[..., 0, :, :], 1.0)
     P = 1.0 + 0.5 * np.tanh(bump)  # bounded in [0.5, 1.5]: safely above floor
-    P /= _x_integral(P, grid.dx)[:, None]
-    S = trig_sum(phase_scale)
+    P /= _x_integral(P, grid.dx)[..., None]
+    S = trig_sum(draws[..., 1, :, :], phase_scale)
     return PolarField(P=P, S=S)
 
 
@@ -758,8 +770,8 @@ def check_madelung_extremum(
     drown the signal.  Both rms residuals converge at 2nd order in (dx, dt)
     for a true solution.
     """
-    if fields.n_slices < 3:
-        raise ValueError("need at least 3 slices for time derivatives")
+    if fields.P.ndim != 2 or fields.n_slices < 3:
+        raise ValueError("need one history of at least 3 slices for time derivatives")
     dt = grid.dt if slice_dt is None else slice_dt
     P, S = fields.P, fields.S
 

@@ -669,6 +669,17 @@ class TestCli:
         assert run_command(["check", "fq", "--trials", "1", "--seed", "90000"]) == 3
         assert capsys.readouterr().out == "max relative |F - Q| over 1 trials: 5.000e-07\n"
 
+    def test_check_fq_fails_on_a_nan_q(self, monkeypatch, capsys):
+        exact_q = wave_dynamics.functional_Q
+        monkeypatch.setattr(wave_dynamics, "functional_Q",
+                            lambda *args, **kwargs: exact_q(*args, **kwargs) * np.nan)
+        assert run_command(["check", "fq", "--trials", "3"]) == 3
+        assert capsys.readouterr().out == "max relative |F - Q| over 3 trials: nan\n"
+
+    def test_check_fq_seed_past_int64(self, capsys):
+        assert run_command(["check", "fq", "--trials", "2", "--seed", str(2**64)]) == 0
+        assert capsys.readouterr().out == "max relative |F - Q| over 2 trials: 1.738e-11\n"
+
     def test_manifest_config_records_every_flag(self, tmp_path):
         assert run_command(["evolve", "--grid", "10,64,0.001,10", "--stride", "5",
                             "--allow-boundary", "--out", str(tmp_path / "ev")]) == 0
@@ -728,6 +739,10 @@ def _manifest_outputs_as_list(tmp: Path) -> list[str]:
     return ["report", str(tmp), "--verify"]
 
 
+def _run_with_theta_grid(command: str, spec: str):
+    return lambda tmp: [command, "run", f"--theta-grid={spec}", "--out", str(tmp / "out")]
+
+
 def _unknown_config_key(tmp: Path) -> list[str]:
     (tmp / "cfg.json").write_text('{"bogus_knob": 1}')
     return ["--config", str(tmp / "cfg.json"), "sg", "run", "--out", str(tmp)]
@@ -753,6 +768,8 @@ EXIT_CASES = {
     "unknown_config_key": (_unknown_config_key, 2, "bogus_knob"),
     "trials_zero": (lambda tmp: ["check", "fq", "--trials", "0"], 2, "--trials"),
     "trials_negative": (lambda tmp: ["check", "fq", "--trials", "-2"], 2, "--trials"),
+    "fq_seed_negative": (lambda tmp: ["check", "fq", "--trials", "2", "--seed", "-1"],
+                         2, "non-negative"),
     "sigma0_zero": (_evolve_with("--sigma0", "0"), 2, "sigma0"),
     "sigma0_negative": (_evolve_with("--sigma0", "-1"), 2, "sigma0"),
     "x0_inf": (_evolve_with("--x0", "inf"), 2, "x0"),
@@ -768,11 +785,25 @@ EXIT_CASES = {
                    2, "half-extent L must be finite and positive, got inf"),
     "mass_inf": (_evolve_with("--mass", "inf"), 2, "mass must be finite and positive, got inf"),
     "lambda_nan": (_evolve_with("--lambda", "nan"), 2, "lam must be finite and positive, got nan"),
-    "sg_theta_grid_empty": (lambda tmp: ["sg", "run", "--theta-grid", "0:1:0", "--out", str(tmp)],
-                            2, "--theta-grid needs at least one angle"),
-    "eprb_theta_grid_empty": (lambda tmp: ["eprb", "run", "--theta-grid", "0:1:0",
-                                           "--out", str(tmp)],
-                              2, "--theta-grid needs at least one angle"),
+    "sg_theta_grid_empty": (_run_with_theta_grid("sg", "0:1:0"), 2,
+                            "--theta-grid needs at least one angle"),
+    "eprb_theta_grid_empty": (_run_with_theta_grid("eprb", "0:1:0"), 2,
+                              "--theta-grid needs at least one angle"),
+    **{f"{cmd}_theta_grid_{name}": (_run_with_theta_grid(cmd, spec), 2,
+                                     f"ConfigError: --theta-grid {message}, got {spec!r}")
+       for cmd in ("sg", "eprb")
+       for name, spec, message in (
+           ("stop_inf", "0:inf:2", "angles must be finite"),
+           ("start_nan", "nan:1:2", "angles must be finite"),
+           ("angle_inf", "inf", "angles must be finite"),
+           ("span_overflows", "-1e308:1e308:3", "angles must be finite"),
+           ("four_fields", "0:1:2:3", "must be one angle or start:stop:count"),
+           ("two_fields", "0:1", "must be one angle or start:stop:count"),
+           ("count_not_int", "0:1:2.5", "must be one angle or start:stop:count"),
+       )},
+    "sg_m_direction_two_fields": (
+        lambda tmp: ["sg", "run", "--m-direction", "1,0", "--out", str(tmp / "out")],
+        2, "expected three comma-separated components"),
     "non_separable": (lambda tmp: ["separate", "sg", "--input",
                                    str(_sg_correlations(tmp / "corr.csv", power=2))],
                       3, "NonSeparable"),
@@ -783,7 +814,15 @@ EXIT_CASES = {
 def test_exit_codes(tmp_path, monkeypatch, capsys, case):
     make_argv, expected, named = EXIT_CASES[case]
     monkeypatch.chdir(tmp_path)
-    code = run_command(make_argv(tmp_path))
+    argv = make_argv(tmp_path)
+    out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+    fresh_out = out is not None and not out.exists()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_command(argv)
     stderr = capsys.readouterr().err
     assert code in (0, 2, 3) and code == expected
     assert named in stderr and "Traceback" not in stderr
+    assert [str(w.message) for w in caught] == []
+    if fresh_out:  # a failed command leaves no output directory behind
+        assert not out.exists()

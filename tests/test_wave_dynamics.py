@@ -298,6 +298,68 @@ class TestFunctionalF:
         assert abs(F - Q) / (abs(F) + abs(Q)) < 1e-2
 
 
+# The fields and potential of ``check fq`` (acceptance criterion 7).
+FQ_GRID = SpatialGrid(L=8.0, n_x=256, dt=1e-4, n_t=8)
+FQ_PARAMS = PhysicalParams(potential=lambda x: 0.3 * np.cos(np.pi * x / 8))
+
+
+def _f_q_fisher(fields: PolarField):
+    F = functional_F(fields, FQ_PARAMS, FQ_GRID, x_scheme="spectral")
+    Q = functional_Q(polar_to_wave(fields, FQ_PARAMS.lam), FQ_PARAMS, FQ_GRID,
+                     x_scheme="spectral")
+    return F, Q, fisher_continuum(fields, FQ_GRID, x_scheme="spectral")
+
+
+class TestStackedHistories:
+    @pytest.mark.parametrize("stack", [1, 5, 50])
+    def test_stack_equals_single_histories_bitwise(self, stack):
+        # At 50 each complex array is 1.6 MB, past numpy's 256 KB threshold for
+        # running a product with an unnamed temporary in place.
+        seeds = list(range(90000, 90000 + stack))
+        stacked = _f_q_fisher(random_polar_fields(FQ_GRID, n_slices=8, seed=seeds))
+        assert all(values.shape == (stack,) for values in stacked)
+        for i, seed in enumerate(seeds):
+            single = _f_q_fisher(random_polar_fields(FQ_GRID, n_slices=8, seed=seed))
+            assert all(type(value) is float for value in single)
+            assert [values[i] for values in stacked] == list(single)
+
+    def test_seed_sequence_stacks_single_seed_fields(self):
+        seeds = [3, 2**64, 0, 17]
+        stack = random_polar_fields(FQ_GRID, n_slices=6, seed=seeds)
+        assert stack.P.shape == (4, 6, FQ_GRID.n_x) and stack.n_slices == 6
+        for i, seed in enumerate(seeds):
+            single = random_polar_fields(FQ_GRID, n_slices=6, seed=seed)
+            assert single.P.shape == (6, FQ_GRID.n_x)
+            assert np.array_equal(stack.P[i], single.P) and np.array_equal(stack.S[i], single.S)
+
+    def test_fields_report_slices_of_a_stack(self):
+        zeros = np.zeros((3, 5, 32))
+        assert PolarField(P=zeros + 1, S=zeros).n_slices == 5
+        assert WaveField(zeros.astype(complex)).n_slices == 5
+        assert WaveField(np.ones(32, dtype=complex)).n_slices == 1
+
+    def test_four_dimensional_fields_rejected(self):
+        with pytest.raises(ValueError, match="3-d"):
+            PolarField(P=np.ones((2, 3, 5, 32)), S=np.zeros((2, 3, 5, 32)))
+        with pytest.raises(ValueError, match="3-d"):
+            WaveField(np.ones((2, 3, 5, 32), dtype=complex))
+
+    def test_one_history_functions_reject_a_stack(self):
+        fields = random_polar_fields(FQ_GRID, n_slices=8, seed=[1, 2])
+        with pytest.raises(ValueError, match="not a stack"):
+            wave_to_polar(polar_to_wave(fields, lam=4.0), lam=4.0)
+        with pytest.raises(ValueError, match="one history"):
+            check_madelung_extremum(fields, FQ_PARAMS, FQ_GRID)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+    def test_f_equals_q_on_random_smooth_fields(self, seeds):
+        # Criterion 7's ratio, each history of the stack on its own.
+        F, Q, fisher = _f_q_fisher(random_polar_fields(FQ_GRID, n_slices=8, seed=seeds))
+        ratios = np.abs(F - Q) / (2 * fisher + np.abs(F - fisher) + np.abs(Q - fisher))
+        assert ratios.shape == (len(seeds),) and np.all(ratios < 1e-8)
+
+
 class TestPolarWaveMaps:
     def test_uniform_real(self):
         grid = SpatialGrid(L=4.0, n_x=64, dt=1.0, n_t=1)
