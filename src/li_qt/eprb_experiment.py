@@ -28,16 +28,6 @@ from .sg_experiment import UnitVector3
 
 
 @dataclass(frozen=True)
-class PairOutcome:
-    x: int
-    y: int
-
-    def __post_init__(self):
-        if self.x not in (1, -1) or self.y not in (1, -1):
-            raise ValueError("pair outcomes must be +1 or -1")
-
-
-@dataclass(frozen=True)
 class PairEventLog:
     """Sequence of outcome pairs plus the generating configuration."""
 
@@ -81,17 +71,15 @@ class CorrelationReport:
 
 
 def eprb_probability(
-    pair: PairOutcome | tuple[int, int],
+    pair: tuple[int, int],
     a1: UnitVector3,
     a2: UnitVector3,
     correlation_sign: int = -1,
 ) -> float:
     """Pair probability (1 + s x y a1.a2) / 4 with s the correlation sign."""
-    if isinstance(pair, PairOutcome):
-        x, y = pair.x, pair.y
-    else:
-        x, y = pair
-        PairOutcome(x, y)
+    x, y = pair
+    if x not in (1, -1) or y not in (1, -1):
+        raise ValueError("pair outcomes must be +1 or -1")
     if correlation_sign not in (1, -1):
         raise ValueError("correlation sign must be +1 or -1")
     return (1 + correlation_sign * x * y * a1.dot(a2)) / 4
@@ -214,14 +202,3 @@ def singlet_compliance_from_counts(
 def singlet_compliance_test(log: PairEventLog) -> tuple[float, bool]:
     """Five-sigma test of <xy> against the singlet value -a1.a2."""
     return singlet_compliance_from_counts(log.count_table(), log.a1, log.a2)
-
-
-def log_pair_iprob(log: PairEventLog, correlation_sign: int = -1) -> float:
-    """Sum over events of log P(x_i, y_i | a1, a2): the product-rule i-prob."""
-    probs = pair_probabilities(log.a1, log.a2, correlation_sign)
-    # PAIR_SPACE index of each event: (1 - x) + (1 - y)//2.
-    idx = (1 - log.xs.astype(np.int64)) + (1 - log.ys.astype(np.int64)) // 2
-    p_per_event = probs[idx]
-    if np.any(p_per_event == 0.0):
-        return -math.inf
-    return float(np.sum(np.log(p_per_event)))

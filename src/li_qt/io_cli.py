@@ -41,7 +41,6 @@ from .wave_dynamics import (
 
 SCHEMA_VERSION = 1
 RNG_ALGORITHM = "PCG64"
-_FLOAT_FMT = "%.17g"
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -77,7 +76,8 @@ def _require(data: dict, fields: dict, path: Path) -> dict:
 
 # kind -> (header, dtype, allowed values of every column after ``index``).  Event
 # logs (allowed (-1, 1)) are byte-coded rows "i,±1[,±1]", i = 0..n-1, read back as
-# int8 cells without the index; other kinds use %d or %.17g (NaN reads "nan") and
+# int8 cells without the index.  ``detector`` cells are written with "%d", float cells
+# as "%.17g" would print them (``_float_table``; NaN is "nan"); both read back with
 # ``np.loadtxt``.  Rows end in "\r\n"; on read "\n" also does, and the last may not.
 _SCHEMAS = {
     "sg": (("index", "outcome"), np.int8, (-1, 1)),
@@ -109,13 +109,128 @@ _MANIFEST_FIELDS = {
 }
 
 
+# -- "%.17g" for a whole float table ----------------------------------------------------
+# For 1e-280 < |x| < 1e280 the digits are N = round(|x| 10**(16 - E)), 10**16 <= N < 10**17,
+# 10**(16 - E) a double-double, its product split exactly (T. J. Dekker, Numer. Math. 18, 224
+# (1971)).  With an error below 1e-14, N is the correctly rounded value "%" prints (D. M. Gay,
+# AT&T NA Manuscript 90-10 (1990)) unless its fraction lies within 1e-9 of a half: such
+# ties, and the cells outside that range but NaN and zero, go through "%".
+
+def _split(a):
+    """Veltkamp's split a = hi + lo into halves of 26 bits, whose products are exact."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _powers_of_ten() -> np.ndarray:
+    """Rows hi, hi's halves and lo, with hi + lo = 10**k within 1e-31, for k = -264..297."""
+    def pair(num: int, den: int) -> tuple[float, float]:  # hi correctly rounded, lo the rest
+        n, d = (num / den).as_integer_ratio()
+        return n / d, (num * d - n * den) / (den * d)
+
+    big = np.array([pair(10 ** max(q, 0), 10 ** max(-q, 0)) for q in range(-288, 289, 32)])
+    small, k = np.array([pair(10**r, 1) for r in range(32)]), np.arange(-264, 298)
+    (bh, bl), (sh, sl) = big[k // 32 + 9].T, small[k % 32].T
+    (bhh, bhl), (shh, shl), hi = _split(bh), _split(sh), bh * sh
+    lo = ((bhh * shh - hi) + bhh * shl + bhl * shh) + bhl * shl + (bh * sl + bl * sh)
+    return np.array([hi, *_split(hi), lo])
+
+
+# A cell is a record of four int64 words whose NUL bytes are deleted at the end: sign,
+# "0.000" lead, first digit, "."; digits 2-17 (trailing zeros NUL); the digit a "." among
+# them pushes out, "e±XX[X]", "," or "\r\n".  Tables by exponent E take E + 300.
+_POW10 = _powers_of_ten()
+_D, _Z = np.arange(10), np.arange(10) == 0  # digits; for 0..9999, "dddd" and trailing zeros:
+_ASCII4 = (_D + 48 << 24 | _D[:, None] + 48 << 16 | _D[:, None, None] + 48 << 8
+           | _D[:, None, None, None] + 48).ravel()
+_ZEROS4 = (_Z * (1 + _Z[:, None] * (1 + _Z[:, None, None] * (1 + _Z[:, None, None, None])))).ravel()
+_FIRST = np.array([(1 << 8 * m) - 1 for m in range(8)] + [-1])  # the first m bytes
+_E = np.arange(-300, 301)
+_FIXED = (-4 <= _E) & (_E <= 16)  # "%g" without exponent: integer digits keep their zeros
+_KEPT = np.where(_FIXED, np.maximum(_E, 0), 0)  # digits after the first kept in any case
+_DOT = np.where(_FIXED & ((_E < 0) | (_E == 16)), 17, _KEPT)  # a "." after this many
+_LEAD = np.zeros(601, np.int64)  # "0.", "0.0", ... for E = -1 .. -4
+_LEAD[296:300] = np.frombuffer(b"".join(b"\0" + b"0.000"[:1 - e].ljust(7, b"\0")
+                                        for e in range(-4, 0)), np.int64)
+_DOT0 = np.where(_DOT == 0, 46 << 56, 0)
+_MAG = abs(_E)
+_EXP = np.where(_FIXED, 0, 101 | (43 + 2 * (_E < 0)) << 8 | (_MAG >= 100) * (48 + _MAG // 100) << 16
+                | (48 + _MAG // 10 % 10) << 24 | (48 + _MAG % 10) << 32) << 8  # "e±XX[X]"
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """s + t = a 10**(16 - e) within 1e-14, with s = fl(s + t)."""
+    hi, hi_1, hi_2, lo = (np.take(row, 280 - e) for row in _POW10)
+    p, (a_1, a_2) = hi * a, _split(a)
+    t = ((a_1 * hi_1 - p) + a_1 * hi_2 + a_2 * hi_1) + a_2 * hi_2 + lo * a
+    s = p + t
+    return s, t - (s - p)
+
+
+def _float_records(x: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Fill the records of the cells ``x``; return the cells that need "%"."""
+    a = abs(x)
+    fast = (1e-280 < a) & (a < 1e280)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s, t = _scaled(a, e)
+    low, high = (s < 1e16) | (s == 1e16) & (t < 0), (s > 1e17) | (s == 1e17) & (t >= 0)
+    redo = np.flatnonzero(low | high)  # log10 was one off
+    e[redo] += high[redo] * 2 - 1
+    s[redo], t[redo] = _scaled(a[redo], e[redo])
+    t -= (whole := np.floor(t))  # the fraction
+    digits = s.astype(np.int64) + whole.astype(np.int64) + (t > 0.5)
+    odd = ~fast | (abs(t - 0.5) < 1e-9)
+    del a, s, t, whole  # lowers the peak memory of the steps below
+    top = digits == 10**17
+    digits[top], e[top] = 10**16, e[top] + 1
+    first = (nine := digits // 10**8) // 10**8
+    g = np.empty((4, x.size), np.int64)  # 4-digit groups: digits 6-9, 2-5, 14-17, 10-13
+    g[0], g[2] = nine - first * 10**8, digits - nine * 10**8
+    g[1::2] = g[::2] // 10**4
+    g[::2] -= g[1::2] * 10**4
+    z = np.take(_ZEROS4, g)  # trailing zeros of each group; then the digits kept after the first
+    last = 16 - (z[2] + (z[2] == 4) * (z[3] + (z[3] == 4) * (z[0] + (z[0] == 4) * z[1])))
+    e += 300
+    keep, dot = np.maximum(last, np.take(_KEPT, e)), np.take(_DOT, e)
+    words[:, 0] = (np.signbit(x) * 45 | np.take(_LEAD, e) | np.take(_DOT0, e) * (last > dot)
+                   | (first + 48) << 48)
+    for w, (hi, lo, mask) in enumerate(((1, 0, keep), (3, 2, keep - 8)), 1):  # clipped to 0..8
+        words[:, w] = (np.take(_ASCII4, g[hi]) | np.take(_ASCII4, g[lo]) << 32) & np.take(
+            _FIRST, mask, mode="clip")
+    words[:, 3] = np.take(_EXP, e)
+    moved = np.flatnonzero((last > dot) & (dot > 0))  # a "." at byte ``at`` moves the rest
+    at, j, b = 8 + dot[moved, None], np.arange(8, 25), words.view(np.uint8)
+    b[moved, 8:25] = np.where(j == at, 46, np.where(j > at, b[moved, 7:24], b[moved, 8:25]))
+    return np.flatnonzero(odd)
+
+
+def _float_table(head: bytes, x: np.ndarray, n_cols: int) -> bytes:
+    """``head``, then rows of ``n_cols`` cells of ``x`` as "%.17g" prints them."""
+    off = len(head) + -len(head) % 8  # records start 8-aligned, after NULs
+    buf = bytearray(off + 32 * x.size)
+    buf[:len(head)] = head
+    words = np.frombuffer(buf, np.int64, offset=off).reshape(-1, 4)
+    odd = _float_records(x, words)
+    words[odd] = 0
+    words[odd, 0] = np.where(np.isnan(x[odd]), int.from_bytes(b"nan", "little"),
+                             np.where(x[odd] == 0, np.signbit(x[odd]) * 45 | 48 << 8, 0))
+    words[:, 3].reshape(-1, n_cols)[...] |= np.array([44 << 48] * (n_cols - 1) + [0x0A0D << 48])
+    for i in odd[~np.isnan(x[odd]) & (x[odd] != 0)].tolist():  # at most 24 bytes
+        buf[off + 32 * i:off + 32 * i + 24] = (b"%.17g" % x[i]).ljust(24, b"\0")
+    return buf.translate(None, b"\0")
+
+
 def _write_table(path: Path, kind: str, columns: list[np.ndarray]) -> None:
     """Write ``columns`` (an event log's index excluded) as the CSV table ``kind``."""
     header, dtype, allowed = _SCHEMAS[kind]
     head = ",".join(header) + "\r\n"
+    if dtype == np.float64:
+        path.write_bytes(_float_table(head.encode(), np.column_stack(columns).ravel(), len(header)))
+        return
     if allowed is None:
-        cell = "%d" if np.issubdtype(dtype, np.integer) else _FLOAT_FMT
-        row = ",".join([cell] * len(header)) + "\r\n"
+        row = ",".join(["%d"] * len(header)) + "\r\n"
         cells = tuple(np.column_stack(columns).ravel().tolist())
         path.write_text(head + (row * len(columns[0])) % cells, newline="")
         return
@@ -314,16 +429,6 @@ def save_operator(op: separation.HermitianOperator, path: Path) -> Path:
     return _write_json(path, {"schema_version": SCHEMA_VERSION, "dim": op.dim, "entries": entries})
 
 
-def load_operator(path: Path) -> separation.HermitianOperator:
-    data = _read_json(path)
-    entries = np.array(
-        [[complex(re, im) for re, im in row] for row in data["entries"]]
-    )
-    if entries.shape != (data["dim"], data["dim"]):
-        raise CorruptData(f"{path}: entries do not match declared dim")
-    return separation.HermitianOperator(entries)
-
-
 # -- manifests --------------------------------------------------------------------
 
 def _sha256(path: Path) -> str:
@@ -416,8 +521,16 @@ def _config(args: argparse.Namespace, **resolved) -> dict:
 
 # -- subcommand implementations --------------------------------------------------------
 
+def _check_seed(seed: int, n: int = 1) -> int:
+    if n < 1:
+        raise ConfigError(f"--n must be at least 1, got {n}")
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _cmd_sg_run(args) -> int:
-    seed = _fallback_seed(args.seed)
+    seed = _check_seed(_fallback_seed(args.seed), args.n)
     thetas = _parse_theta_grid(args.theta_grid)
     m = _parse_vector(args.m_direction)
     out = Path(args.out)
@@ -464,7 +577,7 @@ def _cmd_sg_fit(args) -> int:
 
 
 def _cmd_eprb_run(args) -> int:
-    seed = _fallback_seed(args.seed)
+    seed = _check_seed(_fallback_seed(args.seed), args.n)
     thetas = _parse_theta_grid(args.theta_grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -604,6 +717,15 @@ def _cmd_evolve(args) -> int:
     )
     potential = _build_potential(args.potential, args.mass)
     params = PhysicalParams(mass=args.mass, lam=getattr(args, "lambda"), potential=potential)
+    # Derived quantities the evolver squares or divides by must stay normal floats.
+    huge, dx2 = sys.float_info.max, grid.dx * grid.dx
+    if not 1 / huge < dx2 < huge:
+        raise ConfigError(f"--grid {args.grid!r} gives dx = {grid.dx:g}, whose square is {dx2:g}")
+    if not 1 / huge < args.sigma0 * args.sigma0 < huge:
+        raise ConfigError(f"--sigma0 {args.sigma0:g} has a square out of range")
+    if not params.mass * params.lam * dx2 > 2 / huge:
+        raise ConfigError(f"--mass {params.mass:g} and --lambda {params.lam:g} overflow 2 / "
+                          "(mass lambda dx**2)")
     psi0 = gaussian_packet(grid, x0=args.x0, sigma0=args.sigma0, p0=args.p0, lam=params.lam)
     traj = wave_dynamics.evolve_tdse(
         psi0, params, grid, store_every=args.stride, check_boundary=not args.allow_boundary
@@ -627,6 +749,7 @@ def _cmd_evolve(args) -> int:
 def _cmd_check_fq(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    _check_seed(args.seed)
     grid = SpatialGrid(L=8.0, n_x=256, dt=1e-4, n_t=8)
     params = PhysicalParams(potential=lambda x: 0.3 * np.cos(np.pi * x / 8))
     worst = 0.0

@@ -50,11 +50,6 @@ def pauli_vector(v: Sequence[float]) -> np.ndarray:
     return v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
 
 
-def pair_index(x: int, y: int) -> int:
-    """Row/column index of pair outcome (x, y): (1 - x)/2 + (1 - y)."""
-    return (1 - x) // 2 + (1 - y)
-
-
 def embed_particle1(op: np.ndarray) -> np.ndarray:
     return np.kron(IDENTITY_2, op)
 
@@ -86,17 +81,6 @@ class HermitianOperator:
 
 
 @dataclass(frozen=True)
-class PauliCoefficients2:
-    """Expansion coefficients: op = c0 * 1 + c . sigma."""
-
-    c0: float
-    c: np.ndarray
-
-    def to_matrix(self) -> np.ndarray:
-        return self.c0 * IDENTITY_2 + pauli_vector(self.c)
-
-
-@dataclass(frozen=True)
 class PauliCoefficients4:
     """Two-particle expansion in the product Pauli basis.
 
@@ -122,23 +106,6 @@ def _as_matrix(op: HermitianOperator | np.ndarray) -> np.ndarray:
     if isinstance(op, HermitianOperator):
         return op.matrix
     return HermitianOperator(np.asarray(op, dtype=complex)).matrix
-
-
-def pauli_decompose(op: HermitianOperator | np.ndarray) -> PauliCoefficients2:
-    """Coefficients c0 = Tr(op)/2, c_k = Tr(sigma_k op)/2 of a 2x2 operator."""
-    m = _as_matrix(op)
-    if m.shape != (2, 2):
-        raise ValueError("pauli_decompose expects a 2x2 operator")
-    c0 = float(np.trace(m).real) / 2
-    c = np.array([float(np.trace(s @ m).real) / 2 for s in PAULI])
-    return PauliCoefficients2(c0=c0, c=c)
-
-
-def build_sg_operators(a: UnitVector3, m: UnitVector3) -> tuple[HermitianOperator, HermitianOperator]:
-    """Source and instrument operators rho = (1 + m.sigma)/2, X = a.sigma."""
-    rho = (IDENTITY_2 + pauli_vector(m.as_array())) / 2
-    xhat = pauli_vector(a.as_array())
-    return HermitianOperator(rho), HermitianOperator(xhat)
 
 
 def rho_to_state(rho: HermitianOperator | np.ndarray, tol: float = 1e-10) -> np.ndarray:

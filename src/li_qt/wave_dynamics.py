@@ -502,8 +502,11 @@ def gaussian_packet(
         raise ValueError(f"x0 and p0 must be finite, got {x0} and {p0}")
     x = grid.x
     hbar = 2.0 / math.sqrt(lam)
-    psi = np.exp(-((x - x0) ** 2) / (4 * sigma0**2) + 1j * p0 * x / hbar)
-    psi /= math.sqrt(np.trapezoid(np.abs(psi) ** 2, dx=grid.dx))
+    with np.errstate(over="ignore"):  # a packet far off the grid has no norm: checked below
+        psi = np.exp(-((x - x0) ** 2) / (4 * sigma0**2) + 1j * p0 * x / hbar)
+    if not (norm := np.trapezoid(np.abs(psi) ** 2, dx=grid.dx)) > 0:
+        raise ValueError(f"a packet at x0 = {x0} of sigma0 = {sigma0} has no norm on the grid")
+    psi /= math.sqrt(norm)
     return WaveField(psi)
 
 

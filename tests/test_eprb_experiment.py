@@ -7,11 +7,9 @@ from conftest import random_rotation
 from li_qt.errors import EmptyLog
 from li_qt.eprb_experiment import (
     PAIR_SPACE,
-    PairOutcome,
     correlation_report,
     correlation_report_from_counts,
     eprb_probability,
-    log_pair_iprob,
     marginal_uniformity_test,
     pair_probabilities,
     sample_eprb,
@@ -23,7 +21,6 @@ from li_qt.inference_core import (
     CountTable,
     DichotomicModel,
     fisher_dichotomic,
-    log_multinomial_iprob,
 )
 from li_qt.sg_experiment import UnitVector3, fit_robust_solution
 
@@ -33,7 +30,12 @@ X = UnitVector3(1.0, 0.0, 0.0)
 
 class TestPairProbability:
     def test_perfect_anticorrelation(self):
-        assert eprb_probability(PairOutcome(1, 1), Z, Z) == 0.0
+        assert eprb_probability((1, 1), Z, Z) == 0.0
+
+    @pytest.mark.parametrize("pair", [(1, 0), (2, -1), (-1, -3)])
+    def test_rejects_outcomes_other_than_plus_minus_one(self, pair):
+        with pytest.raises(ValueError, match="pair outcomes must be"):
+            eprb_probability(pair, Z, Z)
 
     def test_orthogonal_uniform(self):
         for pair in PAIR_SPACE:
@@ -198,20 +200,6 @@ class TestFisherPair:
     def test_constant_zero(self):
         model = DichotomicModel(lambda theta: 0.2, derivative_fn=lambda theta: 0.0)
         assert fisher_dichotomic(model, 1.0) == 0.0
-
-
-class TestProductStructure:
-    def test_log_iprob_matches_multinomial_up_to_combinatorics(self):
-        a2 = UnitVector3.from_polar(1.2)
-        log = sample_eprb(Z, a2, 10**4, seed=13)
-        counts = log.count_table()
-        probs = pair_probabilities(Z, a2)
-        full = log_multinomial_iprob(counts, probs)
-        vec = counts.as_vector()
-        log_coeff = math.lgamma(counts.total + 1) - sum(
-            math.lgamma(int(k) + 1) for k in vec
-        )
-        assert log_pair_iprob(log) == pytest.approx(full - log_coeff, rel=1e-12)
 
 
 class TestNoSignaling:

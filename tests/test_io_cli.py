@@ -21,7 +21,6 @@ from li_qt.io_cli import (
     _write_table,
     load_events,
     load_external_pair_csv,
-    load_operator,
     run_command,
     save_detector_data,
     save_event_log,
@@ -403,12 +402,62 @@ class TestEventLogCodec:
         assert _grammar_cells(csv_path.read_bytes(), kind) is not None
 
 
+def _percent_g_table(kind: str, cells: np.ndarray) -> bytes:
+    """The float table as Python's "%.17g" prints it, cell by cell (the oracle)."""
+    header = {"snapshot": "x,re_psi,im_psi,P,S",
+              "eprb_report": "theta,xy_mean,x_mean,y_mean,stderr_xy,n"}[kind]
+    row = ",".join(["%.17g"] * cells.shape[1]) + "\r\n"
+    return (header + "\r\n" + (row * len(cells)) % tuple(cells.ravel().tolist())).encode()
+
+
+def _float_cases() -> np.ndarray:
+    """Cells where "%.17g" is hardest to match: specials, range edges, ties, powers of ten."""
+    powers = np.array([float(f"1e{k}") for k in range(-300, 300)])
+    edges = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1e-280, 1e280, 1e-5, 1e-4, 1e16,
+                      1e17, 0.5, 2.5, 99999999999999999.0, 9999999999999998.0])
+    nan_payloads = (np.uint64(0x7FF0000000000001) + np.arange(0, 2**51, 2**45, dtype=np.uint64))
+    cells = np.concatenate([
+        powers, edges, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        np.nextafter(edges, 0), np.nextafter(edges, np.inf), [np.inf, np.nan, 1.7976931348623157e308],
+        np.arange(-5000, 5000) / 1024, nan_payloads.view(np.float64),
+    ])
+    return np.concatenate([cells, -cells])
+
+
+class TestFloatTable:
+    @pytest.mark.parametrize("kind, width", [("snapshot", 5), ("eprb_report", 6)])
+    def test_same_bytes_as_percent_g_on_hard_cells(self, tmp_path, kind, width):
+        cells = _float_cases()
+        cells = np.concatenate([cells, np.ones(-cells.size % width)]).reshape(-1, width)
+        _write_table(tmp_path / "t.csv", kind, list(cells.T))
+        assert (tmp_path / "t.csv").read_bytes() == _percent_g_table(kind, cells)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=40), st.integers(0, 2**32 - 1),
+           st.integers(0, 3000))
+    def test_same_bytes_as_percent_g_on_any_bit_pattern(self, tmp_path_factory, bits, seed, n):
+        random = np.random.default_rng(seed).integers(0, 2**64, n, dtype=np.uint64)
+        cells = np.concatenate([np.array(bits, np.uint64), random]).view(np.float64)
+        cells = np.concatenate([cells, np.zeros(-cells.size % 5)]).reshape(-1, 5)
+        path = tmp_path_factory.mktemp("float") / "snap.csv"
+        _write_table(path, "snapshot", list(cells.T))
+        assert path.read_bytes() == _percent_g_table("snapshot", cells)
+
+
+def _read_operator(path: Path) -> np.ndarray:
+    """The matrix a ``rho.json`` holds, as ``[re, im]`` pairs row by row."""
+    data = json.loads(path.read_text())
+    assert data["schema_version"] == 1
+    matrix = np.array([[complex(re, im) for re, im in row] for row in data["entries"]])
+    assert matrix.shape == (data["dim"], data["dim"])
+    return matrix
+
+
 class TestOperatorPersistence:
     def test_round_trip(self, tmp_path):
         rho, _, _ = separation.build_eprb_operators(Z, X)
         save_operator(rho, tmp_path / "rho.json")
-        loaded = load_operator(tmp_path / "rho.json")
-        assert np.max(np.abs(loaded.matrix - rho.matrix)) == 0.0
+        assert np.max(np.abs(_read_operator(tmp_path / "rho.json") - rho.matrix)) == 0.0
 
 
 class TestManifest:
@@ -612,9 +661,8 @@ class TestCli:
         assert run_command(
             ["separate", "eprb", "--input", str(path), "--out", str(out)]
         ) == 0
-        loaded = load_operator(out / "rho.json")
         expected = separation.build_eprb_operators(Z, X)[0].matrix
-        assert np.max(np.abs(loaded.matrix - expected)) < 1e-10
+        assert np.max(np.abs(_read_operator(out / "rho.json") - expected)) < 1e-10
 
     def test_evolve_deterministic_and_verify(self, tmp_path):
         args = ["evolve", "--potential", "harmonic", "--grid", "10,256,0.005,40",
@@ -717,8 +765,13 @@ def _sg_log_with(key: str, value):
     return make_argv
 
 
+def _fresh_out(*argv: str):
+    """``argv`` with an ``--out`` that does not exist yet."""
+    return lambda tmp: [*argv, "--out", str(tmp / "out")]
+
+
 def _evolve_with(flag: str, value: str):
-    return lambda tmp: ["evolve", "--grid", "10,64,0.001,10", flag, value, "--out", str(tmp)]
+    return _fresh_out("evolve", "--grid", "10,64,0.001,10", flag, value)
 
 
 def _manifest_without_outputs(tmp: Path) -> list[str]:
@@ -769,7 +822,29 @@ EXIT_CASES = {
     "trials_zero": (lambda tmp: ["check", "fq", "--trials", "0"], 2, "--trials"),
     "trials_negative": (lambda tmp: ["check", "fq", "--trials", "-2"], 2, "--trials"),
     "fq_seed_negative": (lambda tmp: ["check", "fq", "--trials", "2", "--seed", "-1"],
-                         2, "non-negative"),
+                         2, "--seed must be a non-negative integer, got -1"),
+    **{f"{cmd}_{name}": (_fresh_out(cmd, "run", "--theta", "0.5", flag, value), 2, message)
+       for cmd in ("sg", "eprb")
+       for name, flag, value, message in (
+           ("n_zero", "--n", "0", "--n must be at least 1, got 0"),
+           ("seed_negative", "--seed", "-1", "--seed must be a non-negative integer, got -1"),
+       )},
+    "grid_dx_square_underflows": (_evolve_with("--grid", "1e-300,64,0.001,5"), 2,
+                                  "--grid '1e-300,64,0.001,5' gives dx = 3.1746e-302"),
+    "grid_dx_square_overflows": (_evolve_with("--grid", "1e300,64,0.001,5"), 2,
+                                 "whose square is inf"),
+    "sigma0_square_overflows": (_evolve_with("--sigma0", "1e300"), 2,
+                                "--sigma0 1e+300 has a square out of range"),
+    "sigma0_square_underflows": (_evolve_with("--sigma0", "1e-300"), 2,
+                                 "--sigma0 1e-300 has a square out of range"),
+    "sigma0_packet_between_points": (_evolve_with("--sigma0", "1e-150"), 2,
+                                     "has no norm on the grid"),
+    "x0_square_overflows": (_evolve_with("--x0", "1e300"), 2, "has no norm on the grid"),
+    "x0_far_from_grid": (_evolve_with("--x0", "1e100"), 2, "has no norm on the grid"),
+    "lambda_energy_overflows": (_evolve_with("--lambda", "1e-320"), 2,
+                                "--lambda 9.99989e-321 overflow 2 / (mass lambda dx**2)"),
+    "mass_energy_overflows": (_evolve_with("--mass", "1e-320"), 2,
+                              "--mass 9.99989e-321 and --lambda 4"),
     "sigma0_zero": (_evolve_with("--sigma0", "0"), 2, "sigma0"),
     "sigma0_negative": (_evolve_with("--sigma0", "-1"), 2, "sigma0"),
     "x0_inf": (_evolve_with("--x0", "inf"), 2, "x0"),

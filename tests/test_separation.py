@@ -9,13 +9,10 @@ from li_qt.separation import (
     PAULI,
     HermitianOperator,
     build_eprb_operators,
-    build_sg_operators,
     eprb_design,
     embed_particle1,
     embed_particle2,
     fibonacci_sphere,
-    pair_index,
-    pauli_decompose,
     pauli_vector,
     rho_to_state,
     separate_eprb,
@@ -51,52 +48,39 @@ class TestPauliBasis:
                 inner = np.trace(a.conj().T @ b)
                 assert inner == pytest.approx(4.0 if i == j else 0.0, abs=1e-12)
 
-    def test_pair_index_convention(self):
-        assert [pair_index(x, y) for (x, y) in ((1, 1), (-1, 1), (1, -1), (-1, -1))] == [
-            0, 1, 2, 3,
-        ]
-
-
-class TestPauliDecompose:
-    def test_identity(self):
-        coeffs = pauli_decompose(IDENTITY_2)
-        assert coeffs.c0 == pytest.approx(1.0)
-        assert coeffs.c == pytest.approx([0, 0, 0], abs=1e-15)
-
-    def test_sigma_z(self):
-        coeffs = pauli_decompose(PAULI[2])
-        assert coeffs.c0 == pytest.approx(0.0)
-        assert coeffs.c == pytest.approx([0, 0, 1], abs=1e-15)
-
-    def test_projector_x(self):
-        coeffs = pauli_decompose((IDENTITY_2 + PAULI[0]) / 2)
-        assert coeffs.c0 == pytest.approx(0.5)
-        assert coeffs.c == pytest.approx([0.5, 0, 0], abs=1e-15)
-
-    def test_round_trip_on_random_matrices(self):
+    def test_trace_coefficients_rebuild_random_hermitian(self):
         rng = np.random.default_rng(12)
         for _ in range(1000):
             m = random_hermitian(rng)
-            coeffs = pauli_decompose(m)
-            assert np.max(np.abs(coeffs.to_matrix() - m)) < 1e-12
+            c = [float(np.trace(s @ m).real) / 2 for s in PAULI]
+            rebuilt = float(np.trace(m).real) / 2 * IDENTITY_2 + pauli_vector(c)
+            assert np.max(np.abs(rebuilt - m)) < 1e-12
 
+
+class TestHermitianOperator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
-            pauli_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
+            HermitianOperator(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def sg_operators(a: UnitVector3, m: UnitVector3) -> tuple[HermitianOperator, HermitianOperator]:
+    """The separated SG operators rho = (1 + m.sigma)/2 and X = a.sigma."""
+    rho = (IDENTITY_2 + pauli_vector(m.as_array())) / 2
+    return HermitianOperator(rho), HermitianOperator(pauli_vector(a.as_array()))
 
 
 class TestSgOperators:
     def test_z_moment_is_projector_up(self):
-        rho, _ = build_sg_operators(X, Z)
+        rho, _ = sg_operators(X, Z)
         assert rho.matrix == pytest.approx(np.diag([1.0, 0.0]), abs=1e-15)
 
     def test_orthogonal_gives_zero_mean(self):
-        rho, xhat = build_sg_operators(X, Z)
+        rho, xhat = sg_operators(X, Z)
         assert np.trace(rho.matrix @ xhat.matrix).real == pytest.approx(0.0, abs=1e-15)
 
     def test_mean_equals_overlap(self):
         a = UnitVector3(0.0, 0.6, 0.8)
-        rho, xhat = build_sg_operators(a, Z)
+        rho, xhat = sg_operators(a, Z)
         assert np.trace(rho.matrix @ xhat.matrix).real == pytest.approx(0.8, abs=1e-12)
 
     def test_trace_identity_against_probability(self):
@@ -104,7 +88,7 @@ class TestSgOperators:
         for _ in range(50):
             a = UnitVector3.from_array(rng.normal(size=3))
             m = UnitVector3.from_array(rng.normal(size=3))
-            rho, _ = build_sg_operators(a, m)
+            rho, _ = sg_operators(a, m)
             for x in (1, -1):
                 effect = (np.eye(2) + x * pauli_vector(a.as_array())) / 2
                 traced = float(np.trace(rho.matrix @ effect).real)
@@ -114,7 +98,7 @@ class TestSgOperators:
         rng = np.random.default_rng(21)
         for _ in range(20):
             m = UnitVector3.from_array(rng.normal(size=3))
-            rho, _ = build_sg_operators(Z, m)
+            rho, _ = sg_operators(Z, m)
             assert np.max(np.abs(rho.matrix @ rho.matrix - rho.matrix)) < 1e-12
             assert np.min(np.linalg.eigvalsh(rho.matrix)) > -1e-12
 
