@@ -40,13 +40,6 @@ DERIVATIVE_STEP = 1e-5
 PAIR_SPACE = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
-def validate_outcome(x: int) -> int:
-    """Return x if it is a valid dichotomic outcome, else raise ValueError."""
-    if x not in (1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {x!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class ExperimentConditions:
     """Opaque record of the fixed conditions under which data was taken."""
@@ -170,12 +163,6 @@ class DichotomicModel:
         """[P(+1), P(-1)] at theta."""
         e = self.expectation(theta)
         return np.array([(1 + e) / 2, (1 - e) / 2])
-
-
-def iprob_dichotomic(x: int, model: DichotomicModel, theta: float) -> float:
-    """i-prob of outcome x: (1 + x E(theta)) / 2."""
-    validate_outcome(x)
-    return (1 + x * model.expectation(theta)) / 2
 
 
 def log_multinomial_iprob(counts: CountTable, probs: Sequence[float]) -> float:

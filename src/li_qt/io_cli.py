@@ -925,14 +925,24 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The ``li-qt`` parser, holding only the command that ``argv`` begins with.
+
+    An ``argv`` that begins with no command (``-h``, an unknown or partial
+    command, an option ahead of the command) gets every command.  The
+    top-level list keeps every command's name as ``choices``: the usage line
+    of an "unrecognized arguments" error is formatted from it.
+    """
+    words = list(argv[:2])
+    invoked = [cmd for cmd in _COMMANDS if words[:1] == [cmd[0]] and cmd[1] in (None, *words[1:])]
     parser = argparse.ArgumentParser(
         prog="li-qt",
         description="Robust dichotomic experiments, operator separation, and the linear evolver.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sub.choices = tuple(dict.fromkeys(group for group, *_ in _COMMANDS))
     groups = {}
-    for group, name, func, help_text, arguments in _COMMANDS:
+    for group, name, func, help_text, arguments in invoked or _COMMANDS:
         if name is None:
             command = sub.add_parser(group, help=help_text)
         else:
@@ -984,9 +994,9 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_expand_config(list(argv)))
+        argv = _expand_config(list(argv))
+        args = build_parser(argv).parse_args(argv)
         return args.func(args)
     except (OSError, ValueError) as exc:  # ConfigError, SchemaMismatch, CorruptData, EmptyLog, ...
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)

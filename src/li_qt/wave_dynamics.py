@@ -356,18 +356,10 @@ def fisher_continuum(
 
 # -- classical limit -------------------------------------------------------------
 
-def hj_residual(
-    S: np.ndarray,
-    V: Callable[[np.ndarray], np.ndarray] | None,
-    mass: float,
-    grid: SpatialGrid,
-) -> np.ndarray:
-    """Pointwise Hamilton-Jacobi residual dS/dt + (dS/dx)^2 / (2m) + V."""
-    S2d = _promote(S, float)
-    dSdt = _d_time(S2d, grid.dt)
-    dSdx = _d_space(S2d, grid.dx, "fd")
-    V_field = 0.0 if V is None else V(grid.x)
-    return dSdt + dSdx**2 / (2 * mass) + V_field
+def _hj_bracket(dSdt: np.ndarray, dSdx: np.ndarray, params: PhysicalParams,
+                x: np.ndarray) -> np.ndarray:
+    """Pointwise Hamilton-Jacobi bracket dS/dt + (dS/dx)^2 / (2m) + V."""
+    return dSdt + dSdx**2 / (2 * params.mass) + params.potential_on(x)
 
 
 # -- the nonlinear functional and its quadratic twin ------------------------------
@@ -392,8 +384,7 @@ def functional_F(
     dSdt = _d_time(S_safe, grid.dt)
 
     fisher_part = np.where(live, dP**2 / np.maximum(P, floor), 0.0)
-    bracket = dSdt + dSdx**2 / (2 * params.mass)
-    dynamic_part = 2 * params.mass * params.lam * (bracket + params.potential_on(grid.x)) * P
+    dynamic_part = 2 * params.mass * params.lam * _hj_bracket(dSdt, dSdx, params, grid.x) * P
     integrand = fisher_part + np.where(live, dynamic_part, 0.0)
     return _time_integral(_x_integral(integrand, grid.dx), grid.dt)
 
@@ -498,10 +489,15 @@ def gaussian_packet(
     """Normalized Gaussian with density std sigma0 and mean momentum p0."""
     if not sigma0 > 0:
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
+    if not sigma0 * sigma0 < math.inf:
+        raise ValueError(f"sigma0 = {sigma0} has a square out of range")
     if not (math.isfinite(x0) and math.isfinite(p0)):
         raise ValueError(f"x0 and p0 must be finite, got {x0} and {p0}")
     x = grid.x
     hbar = 2.0 / math.sqrt(lam)
+    if not abs(p0) / hbar < math.pi / grid.dx:  # the grid's Nyquist wavenumber
+        raise ValueError(f"p0 = {p0} aliases on the grid: |p0| / hbar = {abs(p0) / hbar:g} "
+                         f"is not below pi / dx = {math.pi / grid.dx:g}")
     with np.errstate(over="ignore"):  # a packet far off the grid has no norm: checked below
         psi = np.exp(-((x - x0) ** 2) / (4 * sigma0**2) + 1j * p0 * x / hbar)
     if not (norm := np.trapezoid(np.abs(psi) ** 2, dx=grid.dx)) > 0:
@@ -523,6 +519,8 @@ def _hamiltonian_diagonals(grid: SpatialGrid, params: PhysicalParams) -> tuple[n
     The evolution equation is i dpsi/dt = M psi with
     M = -(1/(m sqrt(lam))) d^2/dx^2 + (sqrt(lam)/2) V.
     """
+    if not 0 < grid.dx * grid.dx < math.inf:
+        raise ValueError(f"grid spacing dx = {grid.dx} has a square out of range")
     kinetic = 1.0 / (params.mass * math.sqrt(params.lam))
     V = params.potential_on(grid.x)[1:-1]
     main = 2 * kinetic / grid.dx**2 + (math.sqrt(params.lam) / 2) * V
@@ -800,7 +798,7 @@ def check_madelung_extremum(
         0.0,
     )
     dSdt = _d_time(S_safe, dt)
-    qhj = dSdt + dSdx**2 / (2 * params.mass) + params.potential_on(grid.x) + quantum_potential
+    qhj = _hj_bracket(dSdt, dSdx, params, grid.x) + quantum_potential
 
     # Spatial stencils straddle the mask edge; drop a one-cell margin.
     interior_mask = mask & np.roll(mask, 1, axis=1) & np.roll(mask, -1, axis=1)

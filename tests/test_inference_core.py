@@ -11,7 +11,6 @@ from li_qt.inference_core import (
     evidence,
     evidence_quadratic,
     fisher_dichotomic,
-    iprob_dichotomic,
     log_multinomial_iprob,
 )
 
@@ -32,29 +31,25 @@ def enumerate_count_probability(counts: CountTable, probs) -> float:
 
 
 class TestIprob:
+    """The i-prob [P(+1), P(-1)] = [(1 + E) / 2, (1 - E) / 2] of a model."""
+
     def test_certain_outcome_at_alignment(self):
         model = DichotomicModel.robust(1, 0.0)
-        assert iprob_dichotomic(1, model, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert model.probabilities(0.0)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_symmetry_point(self):
         model = DichotomicModel.robust(1, 0.0)
-        assert iprob_dichotomic(1, model, math.pi / 2) == pytest.approx(0.5, abs=1e-15)
+        assert model.probabilities(math.pi / 2)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_direct_evaluation(self):
         # E = 0.5 at theta = pi/3, so P(-1) = (1 - 0.5)/2
         model = DichotomicModel.robust(1, 0.0)
-        assert iprob_dichotomic(-1, model, math.pi / 3) == pytest.approx(0.25, abs=1e-12)
+        assert model.probabilities(math.pi / 3)[1] == pytest.approx(0.25, abs=1e-12)
 
     def test_sum_rule(self):
         model = DichotomicModel.robust(2, math.pi)
         for theta in np.linspace(0, 2 * math.pi, 101):
-            total = iprob_dichotomic(1, model, theta) + iprob_dichotomic(-1, model, theta)
-            assert abs(total - 1.0) <= 1e-15
-
-    def test_rejects_bad_outcome(self):
-        model = DichotomicModel.robust(1, 0.0)
-        with pytest.raises(ValueError):
-            iprob_dichotomic(0, model, 1.0)
+            assert abs(model.probabilities(theta).sum() - 1.0) <= 1e-15
 
 
 class TestLogMultinomial:

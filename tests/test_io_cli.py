@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import li_qt
-from li_qt import separation, wave_dynamics
+from li_qt import io_cli, separation, wave_dynamics
 from li_qt.errors import CorruptData, SchemaMismatch
 from li_qt.eprb_experiment import PairEventLog, sample_eprb
 from li_qt.io_cli import (
@@ -739,6 +740,105 @@ class TestCli:
         assert separate["noise_floor"] == 0.01
 
 
+def _words(entry) -> list[str]:
+    """The argv words that invoke a ``_COMMANDS`` entry: ``["evolve"]``, ``["sg", "run"]``."""
+    return [word for word in entry[:2] if word is not None]
+
+
+# One argv per ``_COMMANDS`` entry, run from a directory that holds cfg.json.
+COMMAND_ARGVS = (
+    ["sg", "run", "--theta", "0.5", "--n", "7", "--sign", "-1", "--out", "o"],
+    ["sg", "fit", "logs", "--k-max", "3"],
+    ["eprb", "run", "--theta-grid", "0:1:3", "--correlation-sign", "+", "--seed", "2"],
+    ["eprb", "report", "p.csv", "--a1", "0,0,1", "--a2", "1,0,0", "--out", "r.csv"],
+    ["eprb", "test", "logs"],
+    ["separate", "sg", "--input", "c.csv", "--noise-floor", "0.01"],
+    ["separate", "eprb", "--input", "c.csv"],
+    ["--config", "cfg.json", "evolve", "--p0", "1", "--grid", "10,64,0.001,10"],
+    ["check", "fq", "--trials", "3", "--seed", "4"],
+    ["check", "fisher"],
+    ["check", "madelung"],
+    ["report", "run", "--verify"],
+)
+CONFIG = {"stride": 5, "allow_boundary": True, "sigma0": 0.5, "n": 9}
+
+# Argvs that print help or fail to parse: each level's -h, bad values, unknown
+# flags, a missing subcommand or argument, and unknown commands.
+PARSE_PROBES = (
+    ["-h"], [], ["bogus"], ["--n", "3", "sg", "run"],
+    ["sg"], ["sg", "-h"], ["sg", "bogus"], ["check"], ["check", "-h"],
+    ["sg", "run", "--n", "x"], ["sg", "run", "--sign", "2"], ["evolve", "--stride", "1.5"],
+    ["eprb", "run", "--correlation-sign", "0"], ["check", "fq", "--trials"], ["sg", "fit"],
+    ["separate", "sg"],
+    ["report", "d", "--bogus", "x"], ["check", "fisher", "extra"], ["sg", "run", "--", "x"],
+    *([*_words(entry), flag] for entry in io_cli._COMMANDS for flag in ("-h", "--bogus")),
+)
+
+
+def _handlers(parser: argparse.ArgumentParser) -> list:
+    """The handler of every command that ``parser`` can dispatch to."""
+    found = [parser.get_default("func")] if parser.get_default("func") else []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child in action._name_parser_map.values():
+                found += _handlers(child)
+    return found
+
+
+def _exit_of(parse, argv, capsys) -> tuple:
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    return (exit_info.value.code, *capsys.readouterr())
+
+
+class TestParserBranch:
+    """``run_command`` builds the invoked command's parser alone, to the same effect."""
+
+    @pytest.fixture
+    def in_config_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(CONFIG))
+
+    def test_one_argv_per_command(self):
+        assert len(COMMAND_ARGVS) == len(io_cli._COMMANDS)
+        for entry, argv in zip(io_cli._COMMANDS, COMMAND_ARGVS):
+            words = _words(entry)
+            assert words in (argv[:len(words)], argv[2:2 + len(words)])  # after --config FILE
+
+    @pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=" ".join)
+    def test_same_namespace_as_the_full_parser(self, in_config_dir, argv):
+        argv = io_cli._expand_config(argv)
+        branch = io_cli.build_parser(argv)
+        assert len(_handlers(branch)) == 1
+        assert branch.parse_args(argv) == io_cli.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("entry, argv", [
+        pytest.param(entry, argv, id=" ".join(argv))
+        for entry, argv in zip(io_cli._COMMANDS, COMMAND_ARGVS)
+    ])
+    def test_run_command_builds_one_command(self, in_config_dir, monkeypatch, entry, argv):
+        class Built(ValueError):
+            pass
+
+        built, build = [], io_cli.build_parser
+
+        def record(*args):
+            built.append(_handlers(build(*args)))
+            raise Built
+
+        monkeypatch.setattr(io_cli, "build_parser", record)
+        assert run_command(argv) == 2
+        assert built == [[entry[2]]]
+
+    @pytest.mark.parametrize("argv", PARSE_PROBES, ids=lambda argv: " ".join(argv) or "-")
+    def test_help_and_errors_match_the_full_parser(self, monkeypatch, capsys, argv):
+        for columns in ("80", "40"):  # argparse wraps usage lines to the width
+            monkeypatch.setenv("COLUMNS", columns)
+            full = _exit_of(lambda argv: io_cli.build_parser().parse_args(argv), argv, capsys)
+            assert _exit_of(run_command, argv, capsys) == full
+            assert full[0] in (0, 2) and full[1 if full[0] == 0 else 2]
+
+
 def _potential_file(text: str):
     def make_argv(tmp: Path) -> list[str]:
         (tmp / "v.json").write_text(text)
@@ -849,6 +949,9 @@ EXIT_CASES = {
     "sigma0_negative": (_evolve_with("--sigma0", "-1"), 2, "sigma0"),
     "x0_inf": (_evolve_with("--x0", "inf"), 2, "x0"),
     "p0_nan": (_evolve_with("--p0", "nan"), 2, "p0"),
+    "p0_past_nyquist": (_evolve_with("--p0", "1e300"), 2, "p0 = 1e+300 aliases on the grid"),
+    "p0_at_nyquist": (_evolve_with("--p0", "-10"), 2,
+                      "p0 = -10.0 aliases on the grid: |p0| / hbar = 10 is not below pi / dx"),
     "sidecar_conditions_unknown_key": (_sg_log_with("conditions", {"bogus": 1}), 2,
                                        "lacks ['label', 'parameters']"),
     "sidecar_conditions_list": (_sg_log_with("conditions", [1]), 2,

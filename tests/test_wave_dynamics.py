@@ -29,13 +29,18 @@ from li_qt.wave_dynamics import (
     functional_Q,
     gaussian_packet,
     harmonic_potential,
-    hj_residual,
     polar_to_wave,
     random_polar_fields,
     simulate_detector_clicks,
     wave_to_polar,
 )
-from li_qt.wave_dynamics import _hamiltonian_diagonals, _tridiag_solver
+from li_qt.wave_dynamics import (
+    _d_space,
+    _d_time,
+    _hamiltonian_diagonals,
+    _hj_bracket,
+    _tridiag_solver,
+)
 
 
 def normalized_gaussian(grid: SpatialGrid, sigma: float, center: float = 0.0) -> np.ndarray:
@@ -60,6 +65,24 @@ class TestGridAndFields:
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError):
             PolarField(P=-np.ones(32), S=np.zeros(32))
+
+    def test_packet_sigma0_square_overflow_rejected(self):
+        grid = SpatialGrid(L=8.0, n_x=65, dt=0.1, n_t=1)
+        with pytest.raises(ValueError, match=r"^sigma0 = 1e\+200 has a square out of range$"):
+            gaussian_packet(grid, sigma0=1e200)
+
+    @pytest.mark.parametrize("p0, lam, aliases", [
+        (12.5, 4.0, False), (-12.5, 4.0, False), (12.6, 4.0, True), (-12.6, 4.0, True),
+        (6.2, 16.0, False), (6.3, 16.0, True), (1e300, 4.0, True),
+    ])
+    def test_packet_momentum_at_or_past_nyquist_rejected(self, p0, lam, aliases):
+        # dx = 0.25, so |p0| / hbar must stay below pi / dx = 12.566 (hbar = 2 / sqrt(lam)).
+        grid = SpatialGrid(L=8.0, n_x=65, dt=0.1, n_t=1)
+        if not aliases:
+            assert gaussian_packet(grid, p0=p0, lam=lam).psi.shape == (1, 65)
+            return
+        with pytest.raises(ValueError, match="^" + re.escape(f"p0 = {p0} aliases on the grid")):
+            gaussian_packet(grid, p0=p0, lam=lam)
 
     def test_random_fields_normalized(self):
         grid = SpatialGrid(L=8.0, n_x=256, dt=1e-4, n_t=8)
@@ -199,13 +222,18 @@ class TestFisherContinuum:
         assert errors[0] / errors[1] >= 2.0
 
 
+def hj_bracket_of(S, params, grid):
+    """The Hamilton-Jacobi bracket of S with the derivatives the checks take."""
+    return _hj_bracket(_d_time(S, grid.dt), _d_space(S, grid.dx, "fd"), params, grid.x)
+
+
 class TestHamiltonJacobi:
     def test_free_particle_exact(self):
         grid = SpatialGrid(L=8.0, n_x=128, dt=0.05, n_t=10)
         p = 0.7
         times = grid.times(11)
         S = p * grid.x[None, :] - (p**2 / 2) * times[:, None]
-        residual = hj_residual(S, None, mass=1.0, grid=grid)
+        residual = hj_bracket_of(S, PhysicalParams(), grid)
         assert np.max(np.abs(residual)) < 1e-12
 
     def test_constant_potential(self):
@@ -213,7 +241,7 @@ class TestHamiltonJacobi:
         c = 1.3
         times = grid.times(11)
         S = np.broadcast_to(-c * times[:, None], (11, grid.n_x)).copy()
-        residual = hj_residual(S, lambda x: c, mass=1.0, grid=grid)
+        residual = hj_bracket_of(S, PhysicalParams(potential=lambda x: c), grid)
         assert np.max(np.abs(residual)) < 1e-12
 
     def test_velocity_field_matches_characteristics(self):
@@ -221,7 +249,7 @@ class TestHamiltonJacobi:
         grid = SpatialGrid(L=12.0, n_x=512, dt=0.001, n_t=400)
         times = grid.times(grid.n_t + 1)
         S = grid.x[None, :] ** 2 / (2 * (1 + times)[:, None])
-        residual = hj_residual(S, None, mass=1.0, grid=grid)
+        residual = hj_bracket_of(S, PhysicalParams(), grid)
         # S is quadratic in x (exact centered differences) but not polynomial
         # in t: the O(dt^2) time error peaks at the domain corners, ~ x^2 dt^2,
         # with twice the constant on the one-sided end slices.
@@ -520,6 +548,12 @@ class TestEvolver:
         params = PhysicalParams(potential=lambda x: np.full_like(x, np.nan))
         with pytest.raises(UnstableStep):
             evolve_tdse(gaussian_packet(grid), params, grid)
+
+    @pytest.mark.parametrize("L", [1e300, 1e-300])
+    def test_grid_spacing_square_out_of_range_rejected(self, L):
+        grid = SpatialGrid(L=L, n_x=64, dt=1e-3, n_t=5)
+        with pytest.raises(ValueError, match=r"^grid spacing dx = \S+ has a square out of range$"):
+            evolve_tdse(np.ones(64), PhysicalParams(), grid)
 
     def test_nan_initial_state_rejected(self):
         grid = SpatialGrid(L=6.0, n_x=128, dt=1e-3, n_t=10)
