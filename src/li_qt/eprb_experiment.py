@@ -100,7 +100,6 @@ def sample_eprb(
     n: int,
     seed: int,
     correlation_sign: int = -1,
-    conditions: ExperimentConditions | None = None,
 ) -> PairEventLog:
     """Draw n independent pairs from the four-outcome distribution."""
     if n < 1:
@@ -118,7 +117,6 @@ def sample_eprb(
         a1=a1,
         a2=a2,
         seed=int(seed),
-        conditions=conditions or ExperimentConditions(),
     )
 
 
@@ -127,16 +125,15 @@ def sample_eprb_counts(
     a2: UnitVector3,
     n: int,
     seed: int,
-    correlation_sign: int = -1,
 ) -> CountTable:
-    """Multinomial draw of the four pair counts; same model as sample_eprb.
+    """Multinomial draw of the four pair counts: sample_eprb's model, singlet sign.
 
     Useful for large-n calibration runs where individual event order does not
     matter.
     """
     if n < 1:
         raise ValueError("need at least one pair")
-    probs = pair_probabilities(a1, a2, correlation_sign)
+    probs = pair_probabilities(a1, a2)
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.multinomial(n, probs)
     return CountTable(dict(zip(PAIR_SPACE, (int(k) for k in draws))), PAIR_SPACE)

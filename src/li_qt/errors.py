@@ -41,14 +41,13 @@ class InsufficientDesign(ValueError):
 class NonSeparable(RuntimeError):
     """Frequency data cannot be written as Tr(rho X) within the noise floor."""
 
-    def __init__(self, residual: float, threshold: float, message: str = ""):
+    def __init__(self, residual: float, threshold: float):
         self.residual = float(residual)
         self.threshold = float(threshold)
-        detail = message or (
+        super().__init__(
             f"separation residual {self.residual:.3e} exceeds threshold "
             f"{self.threshold:.3e}"
         )
-        super().__init__(detail)
 
 
 class PhaseUndefined(RuntimeError):

@@ -33,9 +33,6 @@ from .errors import DegenerateProbability, MismatchedDimensions
 #: Documented smallness bound for the evidence expansion parameter epsilon.
 EPSILON_BOUND = math.pi / 8
 
-#: Centered-difference step for expectation derivatives without a closed form.
-DERIVATIVE_STEP = 1e-5
-
 #: The four pair outcomes (x, y), in the order pair count tables use.
 PAIR_SPACE = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -94,26 +91,15 @@ class CountTable:
         return cls(counts, PAIR_SPACE)
 
 
+@dataclass(frozen=True)
 class DichotomicModel:
-    """Expectation model E(theta) for a two-outcome experiment.
+    """Expectation model E(theta) of a two-outcome experiment, with its derivative.
 
-    Robust closed forms carry the winding number ``k_winding`` and phase
-    ``phi``, in which case E(theta) = cos(k_winding * theta + phi) and the
-    derivative is analytic.  Models built from a bare callable fall back to a
-    centered finite difference with step ``DERIVATIVE_STEP``.
+    ``robust`` builds the closed forms E(theta) = cos(K theta + phi).
     """
 
-    def __init__(
-        self,
-        expectation_fn: Callable[[float], float],
-        k_winding: int | None = None,
-        phi: float | None = None,
-        derivative_fn: Callable[[float], float] | None = None,
-    ):
-        self.expectation_fn = expectation_fn
-        self.k_winding = k_winding
-        self.phi = phi
-        self._derivative_fn = derivative_fn
+    expectation_fn: Callable[[float], float]
+    derivative_fn: Callable[[float], float]
 
     @classmethod
     def robust(cls, k_winding: int, phi: float) -> "DichotomicModel":
@@ -125,39 +111,14 @@ class DichotomicModel:
         k = int(k_winding)
         return cls(
             lambda theta: math.cos(k * theta + phi),
-            k_winding=k,
-            phi=float(phi),
-            derivative_fn=lambda theta: -k * math.sin(k * theta + phi),
+            lambda theta: -k * math.sin(k * theta + phi),
         )
-
-    @classmethod
-    def empirical(cls, counts: CountTable) -> "DichotomicModel":
-        """Frequency-based model: P(x) = n_x / N, constant in theta.
-
-        This is the explicit identification of the epistemic probability with
-        the observed frequency; it is kept as a separate constructor so the
-        two roles never mix silently.
-        """
-        vec = counts.as_vector()
-        n = counts.total
-        if n == 0:
-            raise ValueError("empirical model needs at least one event")
-        if counts.outcome_space != ((1,), (-1,)):
-            raise ValueError("empirical model is defined for dichotomic counts")
-        e_hat = float(vec[0] - vec[1]) / n
-        return cls(lambda theta: e_hat, derivative_fn=lambda theta: 0.0)
 
     def expectation(self, theta: float) -> float:
         e = float(self.expectation_fn(theta))
         if abs(e) > 1 + 1e-12:
             raise ValueError(f"expectation {e} outside [-1, 1] at theta={theta}")
         return min(1.0, max(-1.0, e))
-
-    def derivative(self, theta: float) -> float:
-        if self._derivative_fn is not None:
-            return float(self._derivative_fn(theta))
-        h = DERIVATIVE_STEP
-        return (self.expectation_fn(theta + h) - self.expectation_fn(theta - h)) / (2 * h)
 
     def probabilities(self, theta: float) -> np.ndarray:
         """[P(+1), P(-1)] at theta."""
@@ -241,5 +202,5 @@ def fisher_dichotomic(model: DichotomicModel, theta: float) -> float:
     denom = 1.0 - e * e
     if denom <= 0.0:
         raise DegenerateProbability(f"|E(theta)| = 1 at theta={theta}")
-    de = model.derivative(theta)
+    de = float(model.derivative_fn(theta))
     return de * de / denom

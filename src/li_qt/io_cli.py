@@ -393,22 +393,10 @@ def load_events(base: Path) -> EventLog | PairEventLog | DetectorData:
         raise CorruptData(f"{csv_path}: {rows.shape[0]} rows but sidecar declares n={meta['n']}")
     cond = _require(meta["conditions"], _CONDITIONS_FIELDS, sidecar_path)
     conditions = ExperimentConditions(label=cond["label"], parameters=cond["parameters"])
-    if kind == "sg":
-        log = EventLog(
-            outcomes=rows[:, 0],
-            a=UnitVector3.from_array(meta["a"]),
-            m_direction=UnitVector3.from_array(meta["m"]),
-            seed=meta["seed"],
-            conditions=conditions,
-        )
-    else:
-        log = PairEventLog(
-            *rows.T,
-            a1=UnitVector3.from_array(meta["a1"]),
-            a2=UnitVector3.from_array(meta["a2"]),
-            seed=meta["seed"],
-            conditions=conditions,
-        )
+    # The data columns, the two orientations, the seed and the conditions, in field order.
+    log = (EventLog if kind == "sg" else PairEventLog)(
+        *rows.T, *(UnitVector3(*meta[key]) for key in vectors), meta["seed"], conditions
+    )
     if abs(log.theta - float(meta["theta"])) > 1e-12:
         raise CorruptData(
             f"{sidecar_path}: declared theta {meta['theta']} does not match "

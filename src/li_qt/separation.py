@@ -76,9 +76,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
 
 @dataclass(frozen=True)
 class PauliCoefficients4:
@@ -102,18 +99,12 @@ class PauliCoefficients4:
         return out
 
 
-def _as_matrix(op: HermitianOperator | np.ndarray) -> np.ndarray:
-    if isinstance(op, HermitianOperator):
-        return op.matrix
-    return HermitianOperator(np.asarray(op, dtype=complex)).matrix
-
-
-def rho_to_state(rho: HermitianOperator | np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def rho_to_state(rho: HermitianOperator) -> np.ndarray:
     """Unit eigenvector of a rank-1 projector, first nonzero entry real > 0."""
-    m = _as_matrix(rho)
-    if np.max(np.abs(m @ m - m)) > tol:
+    m = rho.matrix
+    if np.max(np.abs(m @ m - m)) > 1e-10:
         raise NotPure("operator is not idempotent within tolerance")
-    if abs(np.trace(m).real - 1.0) > math.sqrt(tol):
+    if abs(np.trace(m).real - 1.0) > 1e-5:  # the square root of that tolerance
         raise NotPure("projector does not have unit trace (rank != 1)")
     eigvals, eigvecs = np.linalg.eigh(m)
     state = eigvecs[:, -1]

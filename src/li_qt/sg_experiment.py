@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyLog, InsufficientData, NoSignal
-from .inference_core import CountTable, ExperimentConditions
+from .inference_core import ExperimentConditions
 
 _UNIT_TOL = 1e-12
 
@@ -100,9 +100,6 @@ class EventLog:
     def n(self) -> int:
         return int(self.outcomes.size)
 
-    def count_table(self) -> CountTable:
-        return CountTable.from_outcomes(self.outcomes)
-
 
 @dataclass(frozen=True)
 class RobustFit:
@@ -143,7 +140,6 @@ def sample_sg(
     n: int,
     seed: int,
     sign: int = 1,
-    conditions: ExperimentConditions | None = None,
 ) -> EventLog:
     """Draw n independent outcomes with P(+1) = sg_probability(+1, a, m, sign)."""
     if n < 1:
@@ -157,7 +153,6 @@ def sample_sg(
         a=a,
         m_direction=m,
         seed=int(seed),
-        conditions=conditions or ExperimentConditions(),
     )
 
 

@@ -66,6 +66,8 @@ from .errors import (
 
 PROBABILITY_FLOOR = 1e-12
 _BLOCK = 16  # CN steps whose diagnostics are computed together (256 KB at n_x = 1024)
+_NORM_TOLERANCE = 1e-8  # largest |norm - initial norm| a CN step may leave
+_WALL_MASS_LIMIT = 1e-6  # largest probability within 5 cells of a wall
 
 # LAPACK zgttrf/zgttrs from the OpenBLAS bundled with numpy's wheels, which
 # numpy.linalg has already mapped: dlsym on its extension module also
@@ -96,6 +98,8 @@ class SpatialGrid:
     def __post_init__(self):
         if not 0 < self.L < math.inf:  # NaN fails too
             raise ValueError(f"half-extent L must be finite and positive, got {self.L}")
+        if not 2 * self.L < math.inf:
+            raise ValueError(f"half-extent L = {self.L} overflows the extent 2 * L")
         if self.n_x < 16:
             raise ValueError("need at least 16 grid points")
         if not 0 < self.dt < math.inf:
@@ -315,7 +319,6 @@ def fisher_discrete(
     prob_fn: Callable[[float, int], np.ndarray],
     x_positions: Sequence[float],
     dx_step: float,
-    floor: float = PROBABILITY_FLOOR,
 ) -> float:
     """Sum over slices and bins of (dP/dX)^2 / P with a centered difference.
 
@@ -330,7 +333,7 @@ def fisher_discrete(
         p0 = np.asarray(prob_fn(float(x0), tau), dtype=float)
         p_plus = np.asarray(prob_fn(float(x0) + dx_step, tau), dtype=float)
         p_minus = np.asarray(prob_fn(float(x0) - dx_step, tau), dtype=float)
-        mask = p0 > floor
+        mask = p0 > PROBABILITY_FLOOR
         if np.any(mask):
             any_support = True
         deriv = (p_plus[mask] - p_minus[mask]) / (2 * dx_step)
@@ -343,14 +346,13 @@ def fisher_discrete(
 def fisher_continuum(
     fields: PolarField,
     grid: SpatialGrid,
-    floor: float = PROBABILITY_FLOOR,
     x_scheme: str = "fd",
 ) -> float | np.ndarray:
     """Trapezoid quadrature of int dx dt (dP/dx)^2 / P, floor-masked."""
     P = fields.P
     _check_normalized(P, grid.dx, 1e-8, "P")
     dP = _d_space(P, grid.dx, x_scheme)
-    integrand = np.where(P > floor, dP**2 / np.maximum(P, floor), 0.0)
+    integrand = np.where(P > PROBABILITY_FLOOR, dP**2 / np.maximum(P, PROBABILITY_FLOOR), 0.0)
     return _time_integral(_x_integral(integrand, grid.dx), grid.dt)
 
 
@@ -368,13 +370,12 @@ def functional_F(
     fields: PolarField,
     params: PhysicalParams,
     grid: SpatialGrid,
-    floor: float = PROBABILITY_FLOOR,
     x_scheme: str = "fd",
 ) -> float | np.ndarray:
     """Quadrature of the robust-experiment functional F over (P, S)."""
     P, S = fields.P, fields.S
     _check_normalized(P, grid.dx, 1e-8, "P")
-    live = P > floor
+    live = P > PROBABILITY_FLOOR
     if not np.all(np.isfinite(S[live])):
         raise ValueError("S must be finite wherever P is above the floor")
     S_safe = np.where(np.isfinite(S), S, 0.0)
@@ -383,7 +384,7 @@ def functional_F(
     dSdx = _d_space(S_safe, grid.dx, x_scheme)
     dSdt = _d_time(S_safe, grid.dt)
 
-    fisher_part = np.where(live, dP**2 / np.maximum(P, floor), 0.0)
+    fisher_part = np.where(live, dP**2 / np.maximum(P, PROBABILITY_FLOOR), 0.0)
     dynamic_part = 2 * params.mass * params.lam * _hj_bracket(dSdt, dSdx, params, grid.x) * P
     integrand = fisher_part + np.where(live, dynamic_part, 0.0)
     return _time_integral(_x_integral(integrand, grid.dx), grid.dt)
@@ -398,7 +399,6 @@ def polar_to_wave(fields: PolarField, lam: float) -> WaveField:
 def wave_to_polar(
     psi: WaveField | np.ndarray,
     lam: float,
-    floor: float = PROBABILITY_FLOOR,
 ) -> PolarField:
     """P = |psi|^2 and S = (2/sqrt(lam)) * phase, unwrapped along x.
 
@@ -413,7 +413,7 @@ def wave_to_polar(
     S = np.full(P.shape, np.nan)
     scale = 2.0 / math.sqrt(lam)
     for tau in range(P.shape[0]):
-        mask = P[tau] > floor
+        mask = P[tau] > PROBABILITY_FLOOR
         if not np.any(mask):
             raise PhaseUndefined(f"slice {tau} has no density above the floor")
         raw = np.angle(wave.psi[tau, mask])
@@ -475,8 +475,8 @@ class TdseTrajectory:
     def slice_dt(self) -> float:
         return self.grid.dt * self.store_every
 
-    def polar(self, floor: float = PROBABILITY_FLOOR) -> PolarField:
-        return wave_to_polar(self.psi, self.params.lam, floor)
+    def polar(self) -> PolarField:
+        return wave_to_polar(self.psi, self.params.lam)
 
 
 def gaussian_packet(
@@ -487,6 +487,8 @@ def gaussian_packet(
     lam: float = 4.0,
 ) -> WaveField:
     """Normalized Gaussian with density std sigma0 and mean momentum p0."""
+    if not 0 < lam < math.inf:  # NaN fails too
+        raise ValueError(f"lam must be finite and positive, got {lam}")
     if not sigma0 > 0:
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
     if not sigma0 * sigma0 < math.inf:
@@ -588,8 +590,6 @@ def evolve_tdse(
     params: PhysicalParams,
     grid: SpatialGrid,
     store_every: int = 1,
-    norm_tolerance: float = 1e-8,
-    boundary_mass_limit: float = 1e-6,
     check_boundary: bool = True,
 ) -> TdseTrajectory:
     """Crank-Nicolson integration of (2i/sqrt(lam)) dpsi/dt = -(2/(m lam)) psi_xx + V psi.
@@ -599,9 +599,9 @@ def evolve_tdse(
     which the norm and energy diagnostics make observable.  V is static, so
     I + i dt/2 M is factored once (LAPACK ``zgttrf``); a step is one ``zgttrs``.
     Raises UnstableStep if that matrix is non-finite or singular or the norm
-    drifts beyond ``norm_tolerance``.  The probability within 5 cells of a
-    wall is recorded on every step (its maximum is ``max_edge_mass``); with
-    ``check_boundary`` set, more than ``boundary_mass_limit`` of it raises
+    drifts by more than ``_NORM_TOLERANCE``.  The probability within 5 cells
+    of a wall is recorded on every step (its maximum is ``max_edge_mass``);
+    with ``check_boundary`` set, more than ``_WALL_MASS_LIMIT`` of it raises
     BoundaryContact.  Both diagnostics are computed once per block of
     ``_BLOCK`` steps, in the same arithmetic as step by step; the first
     failing step of a block is reported (the norm check first) and the steps
@@ -663,14 +663,14 @@ def evolve_tdse(
             norms = np.trapezoid(density, dx=dx, axis=1)
             drifts = np.abs(norms - n0)
             walls = (density[:, :edge].sum(1) + density[:, -edge:].sum(1)) * dx
-        unstable = ~(drifts <= norm_tolerance)  # a NaN norm fails too
-        failed = unstable | (check_boundary & (walls > boundary_mass_limit))
+        unstable = ~(drifts <= _NORM_TOLERANCE)  # a NaN norm fails too
+        failed = unstable | (check_boundary & (walls > _WALL_MASS_LIMIT))
         if failed.any():
             k = int(np.argmax(failed))
             if unstable[k]:
                 raise UnstableStep(
                     f"norm drifted to {norms[k]:.12f} at step {start + k + 1} "
-                    f"(tolerance {norm_tolerance:.1e})"
+                    f"(tolerance {_NORM_TOLERANCE:.1e})"
                 )
             raise BoundaryContact(
                 f"probability {walls[k]:.3e} within {edge} cells of the wall "
@@ -696,21 +696,19 @@ def random_polar_fields(
     grid: SpatialGrid,
     n_slices: int,
     seed: int | Sequence[int],
-    n_modes: int = 4,
-    phase_scale: float = 0.5,
 ) -> PolarField:
     """Random smooth normalized (P, S) pair for equivalence checks.
 
-    Built from a few low trigonometric modes periodic over the box of length
+    Built from four low trigonometric modes periodic over the box of length
     n_x * dx, so the spectral derivative scheme is exact on them; P is kept
     well above the probability floor and normalized slice by slice.  A
     sequence of seeds gives the stack of their fields, row i that of seed i.
     """
     seeds = seed if np.ndim(seed) else [seed]
+    k = np.arange(1, 5)  # the wavenumbers of the four modes
     # Per seed, sum (P's bump, then S) and mode: amp_c, amp_s, omega, phi0.
-    draws = np.array([np.random.Generator(np.random.PCG64(s)).normal(size=8 * n_modes)
-                      for s in seeds]).reshape(*np.shape(seed), 2, n_modes, 4)
-    k = np.arange(1, n_modes + 1)
+    draws = np.array([np.random.Generator(np.random.PCG64(s)).normal(size=8 * k.size)
+                      for s in seeds]).reshape(*np.shape(seed), 2, k.size, 4)
     angles = 2 * np.pi * k[:, None] * grid.x / (grid.n_x * grid.dx)
     mode_c, mode_s = np.cos(angles), np.sin(angles)
     times = grid.times(n_slices)
@@ -720,13 +718,13 @@ def random_polar_fields(
         spatial = amp[..., :1] * mode_c + amp[..., 1:] * mode_s
         temporal = 1.0 + 0.3 * np.sin(d[..., 2:3] * times + d[..., 3:])
         # Added mode by mode onto zeros, in the order the draws were made, for the same bits.
-        return sum((temporal[..., j, :, None] * spatial[..., j, None, :] for j in range(n_modes)),
+        return sum((temporal[..., j, :, None] * spatial[..., j, None, :] for j in range(k.size)),
                    np.zeros((*np.shape(seed), n_slices, grid.n_x)))
 
     bump = trig_sum(draws[..., 0, :, :], 1.0)
     P = 1.0 + 0.5 * np.tanh(bump)  # bounded in [0.5, 1.5]: safely above floor
     P /= _x_integral(P, grid.dx)[..., None]
-    S = trig_sum(draws[..., 1, :, :], phase_scale)
+    S = trig_sum(draws[..., 1, :, :], 0.5)
     return PolarField(P=P, S=S)
 
 
@@ -736,7 +734,6 @@ def random_polar_fields(
 class MadelungReport:
     continuity_rms: float
     quantum_hj_rms: float
-    masked_fraction: float
 
 
 def _align_slice_phases(S: np.ndarray, P: np.ndarray, branch: float) -> np.ndarray:
@@ -758,25 +755,23 @@ def check_madelung_extremum(
     fields: PolarField,
     params: PhysicalParams,
     grid: SpatialGrid,
-    slice_dt: float | None = None,
-    mask_floor: float = 1e-3,
+    slice_dt: float,
 ) -> MadelungReport:
-    """Residuals of the coupled hydrodynamic equations on an evolved history.
+    """Residuals of the coupled hydrodynamic equations on slices ``slice_dt`` apart.
 
     Continuity: dP/dt + d(P dS/dx / m)/dx;  quantum Hamilton-Jacobi:
     dS/dt + (dS/dx)^2/(2m) + V - (hbar^2/2m) (d^2 sqrt(P)/dx^2)/sqrt(P) with
-    hbar^2 = 4/lam.  Points with P <= mask_floor (relative to the slice
-    maximum) are masked: the residual statistics cover the probability bulk,
+    hbar^2 = 4/lam.  Points with P <= 1e-3 of the slice maximum are
+    masked: the residual statistics cover the probability bulk,
     where the deep-tail amplification of the quantum-potential term cannot
     drown the signal.  Both rms residuals converge at 2nd order in (dx, dt)
     for a true solution.
     """
     if fields.P.ndim != 2 or fields.n_slices < 3:
         raise ValueError("need one history of at least 3 slices for time derivatives")
-    dt = grid.dt if slice_dt is None else slice_dt
     P, S = fields.P, fields.S
 
-    mask = P > mask_floor * np.max(P, axis=1, keepdims=True)
+    mask = P > 1e-3 * np.max(P, axis=1, keepdims=True)
     if not np.any(mask):
         raise PhaseUndefined("all points masked")
     if not np.all(np.isfinite(S[mask])):
@@ -785,7 +780,7 @@ def check_madelung_extremum(
     branch = 2 * math.pi * (2.0 / math.sqrt(params.lam))
     S_safe = _align_slice_phases(np.where(np.isfinite(S), S, 0.0), P, branch)
 
-    dPdt = _d_time(P, dt)
+    dPdt = _d_time(P, slice_dt)
     dSdx = _d_space(S_safe, grid.dx, "fd")
     flux = P * dSdx / params.mass
     continuity = dPdt + _d_space(flux, grid.dx, "fd")
@@ -797,7 +792,7 @@ def check_madelung_extremum(
         -(hbar2 / (2 * params.mass)) * _d2_space_fd(sqrtP, grid.dx) / np.maximum(sqrtP, 1e-300),
         0.0,
     )
-    dSdt = _d_time(S_safe, dt)
+    dSdt = _d_time(S_safe, slice_dt)
     qhj = _hj_bracket(dSdt, dSdx, params, grid.x) + quantum_potential
 
     # Spatial stencils straddle the mask edge; drop a one-cell margin.
@@ -808,5 +803,4 @@ def check_madelung_extremum(
     return MadelungReport(
         continuity_rms=cont_rms,
         quantum_hj_rms=qhj_rms,
-        masked_fraction=float(1.0 - interior_mask.mean()),
     )

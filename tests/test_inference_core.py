@@ -193,7 +193,7 @@ class TestFisher:
         assert fisher_dichotomic(model, 0.4) == pytest.approx(9.0, abs=1e-9)
 
     def test_constant_model_is_zero(self):
-        model = DichotomicModel.empirical(CountTable.dichotomic(75, 25))
+        model = DichotomicModel(lambda theta: 0.5, lambda theta: 0.0)
         assert fisher_dichotomic(model, 1.3) == 0.0
 
     def test_degenerate_point_raises(self):
@@ -214,11 +214,6 @@ class TestFisher:
         assert max(values) - min(values) < 1e-9
         assert values[0] == pytest.approx(k * k, abs=1e-9)
 
-    def test_finite_difference_fallback(self):
-        model = DichotomicModel(lambda theta: math.cos(theta))
-        assert model.k_winding is None
-        assert fisher_dichotomic(model, 1.0) == pytest.approx(1.0, abs=1e-6)
-
 
 class TestModelConstructors:
     def test_robust_rejects_bad_phase(self):
@@ -229,11 +224,6 @@ class TestModelConstructors:
     def test_robust_winding_must_be_integer_at_least_one(self, k):
         with pytest.raises(ValueError, match="K >= 1"):
             DichotomicModel.robust(k, 0.0)
-
-    def test_empirical_expectation_constant(self):
-        model = DichotomicModel.empirical(CountTable.dichotomic(75, 25))
-        assert model.expectation(0.1) == pytest.approx(0.5)
-        assert model.expectation(2.7) == pytest.approx(0.5)
 
     def test_count_table_vector_order(self):
         table = CountTable.dichotomic(7, 3)

@@ -961,6 +961,8 @@ EXIT_CASES = {
                     2, "time step dt must be finite and positive, got nan"),
     "grid_L_inf": (lambda tmp: ["evolve", "--grid", "inf,64,0.001,5", "--out", str(tmp)],
                    2, "half-extent L must be finite and positive, got inf"),
+    "grid_extent_overflows": (_fresh_out("evolve", "--grid", "1e308,16,0.001,5"), 2,
+                              "half-extent L = 1e+308 overflows the extent 2 * L"),
     "mass_inf": (_evolve_with("--mass", "inf"), 2, "mass must be finite and positive, got inf"),
     "lambda_nan": (_evolve_with("--lambda", "nan"), 2, "lam must be finite and positive, got nan"),
     "sg_theta_grid_empty": (_run_with_theta_grid("sg", "0:1:0"), 2,

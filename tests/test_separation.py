@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_rotation
 from li_qt.errors import InsufficientDesign, NonSeparable, NotHermitian, NotPure
 from li_qt.separation import (
     IDENTITY_2,
@@ -105,11 +108,11 @@ class TestSgOperators:
 
 class TestRhoToState:
     def test_up_projector(self):
-        state = rho_to_state(np.diag([1.0, 0.0]).astype(complex))
+        state = rho_to_state(HermitianOperator(np.diag([1.0, 0.0])))
         assert state == pytest.approx([1.0, 0.0], abs=1e-12)
 
     def test_x_projector(self):
-        state = rho_to_state((IDENTITY_2 + PAULI[0]) / 2)
+        state = rho_to_state(HermitianOperator((IDENTITY_2 + PAULI[0]) / 2))
         assert state == pytest.approx([1 / math.sqrt(2), 1 / math.sqrt(2)], abs=1e-12)
 
     def test_singlet_amplitudes(self):
@@ -120,7 +123,7 @@ class TestRhoToState:
 
     def test_mixed_state_rejected(self):
         with pytest.raises(NotPure):
-            rho_to_state(np.diag([0.6, 0.4]).astype(complex))
+            rho_to_state(HermitianOperator(np.diag([0.6, 0.4])))
 
 
 class TestSeparateSg:
@@ -301,3 +304,46 @@ class TestDesignHelpers:
             [np.outer(a1.as_array(), a2.as_array()).ravel() for a1, a2 in design]
         )
         assert np.linalg.matrix_rank(rows) == 9
+
+
+def _turned(rot: np.ndarray, v: UnitVector3) -> UnitVector3:
+    return UnitVector3(*(rot @ v.as_array()))
+
+
+class TestRotationEquivariance:
+    """Rotating the orientations rotates the separated source, for any data.
+
+    The means are drawn once and kept: a rotated design with the same means
+    is the same experiment seen in turned axes.  The noise floor is set high
+    enough that no draw is rejected as non-separable.
+    """
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_separate_sg_rotates_m_est(self, seed):
+        rng = np.random.default_rng(seed)
+        m, rot = UnitVector3(*rng.normal(size=3)), random_rotation(rng)
+        design = sg_design(m, 12)
+        means = [a.dot(m) + 0.05 * rng.normal() for a, _ in design]
+        base = separate_sg(means, design, noise_floor=1.0)
+        turned = separate_sg(means, [(_turned(rot, a), _turned(rot, m)) for a, _ in design],
+                             noise_floor=1.0)
+        assert turned.m_est == pytest.approx(rot @ base.m_est, abs=1e-12)
+        assert turned.u0 == pytest.approx(base.u0, abs=1e-12)
+        assert turned.residual == pytest.approx(base.residual, abs=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_separate_eprb_rotates_rho12(self, seed):
+        rng = np.random.default_rng(seed)
+        rot1, rot2 = random_rotation(rng), random_rotation(rng)
+        design = eprb_design(20)
+        xm, ym = rng.uniform(-0.2, 0.2, size=(2, len(design)))
+        xym = [-a1.dot(a2) + 0.05 * rng.normal() for a1, a2 in design]
+        base = separate_eprb(design, xm, ym, xym, noise_floor=1.0)
+        turned = separate_eprb([(_turned(rot1, a1), _turned(rot2, a2)) for a1, a2 in design],
+                               xm, ym, xym, noise_floor=1.0)
+        assert turned.coeffs.rho12 == pytest.approx(rot1 @ base.coeffs.rho12 @ rot2.T, abs=1e-12)
+        assert turned.coeffs.rho1 == pytest.approx(rot1 @ base.coeffs.rho1, abs=1e-12)
+        assert turned.coeffs.rho2 == pytest.approx(rot2 @ base.coeffs.rho2, abs=1e-12)
+        assert turned.residual == pytest.approx(base.residual, abs=1e-12)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_rotation
 from li_qt.errors import EmptyLog, InsufficientData, NoSignal
@@ -181,6 +183,18 @@ class TestRobustFit:
         short = np.linspace(0, 2.0, 16)
         with pytest.raises(InsufficientData):
             fit_robust_solution(short, np.cos(short))
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_exact_data_recovers_winding_and_phase(self, data):
+        # Equally spaced angles over [0, pi]; with fewer than k_max + 2 of them a
+        # winding number can alias onto another.
+        k_max = data.draw(st.integers(1, 8), label="k_max")
+        k = data.draw(st.integers(1, k_max), label="K")
+        phi = data.draw(st.sampled_from([0.0, math.pi]), label="phi")
+        thetas = np.linspace(0, math.pi, data.draw(st.integers(max(8, k_max + 2), 39), label="N"))
+        fit = fit_robust_solution(thetas, np.cos(k * thetas + phi), k_max=k_max)
+        assert (fit.k_winding, fit.phi) == (k, phi)
 
     def test_sampling_consistency_12_points(self):
         thetas = np.linspace(0.1, math.pi - 0.1, 12)

@@ -58,6 +58,19 @@ class TestGridAndFields:
         with pytest.raises(ValueError):
             SpatialGrid(L=1.0, n_x=8, dt=0.1, n_t=1)
 
+    def test_extent_overflow_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic could warn
+            with pytest.raises(ValueError, match=r"^half-extent L = 1e\+308 overflows"):
+                SpatialGrid(L=1e308, n_x=16, dt=0.001, n_t=5)
+        assert SpatialGrid(L=8e307, n_x=16, dt=0.001, n_t=5).dx < math.inf
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, -0.0, math.nan, math.inf])
+    def test_packet_lam_not_finite_and_positive_rejected(self, lam):
+        grid = SpatialGrid(L=8.0, n_x=65, dt=0.1, n_t=1)
+        with pytest.raises(ValueError, match=f"^lam must be finite and positive, got {lam}$"):
+            gaussian_packet(grid, lam=lam)
+
     def test_polar_field_promotes_single_slice(self):
         field = PolarField(P=np.ones(32), S=np.zeros(32))
         assert field.P.shape == (1, 32)
@@ -377,7 +390,7 @@ class TestStackedHistories:
         with pytest.raises(ValueError, match="not a stack"):
             wave_to_polar(polar_to_wave(fields, lam=4.0), lam=4.0)
         with pytest.raises(ValueError, match="one history"):
-            check_madelung_extremum(fields, FQ_PARAMS, FQ_GRID)
+            check_madelung_extremum(fields, FQ_PARAMS, FQ_GRID, slice_dt=FQ_GRID.dt)
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
@@ -691,7 +704,7 @@ class TestBlockedDiagnostics:
         with pytest.raises(BoundaryContact, match=f"^{re.escape(message)}$"):
             self.evolve(psi0, params, grid, store_every=100)
 
-    def test_norm_failure_names_first_step_over_tolerance(self):
+    def test_norm_failure_names_first_step_over_tolerance(self, monkeypatch):
         grid = SpatialGrid(L=10.0, n_x=128, dt=0.01, n_t=40)
         psi0, params = gaussian_packet(grid), PhysicalParams(potential=harmonic_potential())
         every = self.evolve(psi0, params, grid, store_every=1)
@@ -699,8 +712,9 @@ class TestBlockedDiagnostics:
         assert step % 16 not in (0, 1)
         message = (f"norm drifted to {every.norms[step]:.12f} at step {step} "
                    "(tolerance 1.0e-15)")
+        monkeypatch.setattr(wave_dynamics, "_NORM_TOLERANCE", 1e-15)
         with pytest.raises(UnstableStep, match=f"^{re.escape(message)}$"):
-            self.evolve(psi0, params, grid, store_every=7, norm_tolerance=1e-15)
+            self.evolve(psi0, params, grid, store_every=7)
 
 
 # Small random CN problems: a Gaussian in a harmonic well on [-10, 10].  The
