@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import warnings
+from collections.abc import Iterator
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -57,10 +58,21 @@ def _write_json(path: Path, payload: dict) -> Path:
 
 def _read_json(path: Path) -> dict:
     """A JSON object that declares the current ``schema_version``."""
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict) or data.get("schema_version") != SCHEMA_VERSION:
+    try:
+        data = json.loads(Path(path).read_bytes().decode())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise CorruptData(f"{path}: not a JSON document: {exc}") from exc
+    version = data.get("schema_version") if isinstance(data, dict) else None
+    if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 are not 1
         raise SchemaMismatch(f"{path}: unsupported schema version")
     return data
+
+
+def _is(value, kind) -> bool:
+    """Whether ``value`` has the JSON type ``kind``: a boolean is no number, a number is finite
+    as a float (int and float compare exactly, so an int past the float range is not)."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (kind is not _NUMBER or abs(value) <= sys.float_info.max))
 
 
 def _require(data: dict, fields: dict, path: Path) -> dict:
@@ -68,7 +80,7 @@ def _require(data: dict, fields: dict, path: Path) -> dict:
     missing = [key for key in fields if key not in data]
     if missing:
         raise SchemaMismatch(f"{path}: lacks {missing}")
-    wrong = [key for key, kind in fields.items() if not isinstance(data[key], kind)]
+    wrong = [key for key, kind in fields.items() if not _is(data[key], kind)]
     if wrong:
         raise SchemaMismatch(f"{path}: wrong type for {wrong}")
     return data
@@ -234,29 +246,40 @@ def _write_table(path: Path, kind: str, columns: list[np.ndarray]) -> None:
         cells = tuple(np.column_stack(columns).ravel().tolist())
         path.write_text(head + (row * len(columns[0])) % cells, newline="")
         return
-    n = len(columns[0])
-    # Row end offsets, int32 below 10**8 rows (at most 16 bytes each, so under 2 GiB).
-    ends = np.sum([col < 0 for col in columns], 0, np.int32 if n < 10**8 else np.int64)
-    ends += 2 * len(columns) + 3  # the length of row i < 10: one digit, ",1" per cell, "\r\n"
-    for m in range(1, len(str(n - 1)) if n else 0):
-        ends[10**m:] += 1
-    np.cumsum(ends, out=ends)
-    ends += len(head)
-    buf = np.empty(ends[-1] if n else len(head), np.uint8)
-    buf[:len(head)] = np.frombuffer(head.encode(), np.uint8)
-    buf[ends - 1] = ord("\n")
-    ends -= 2  # from here on, where the part of each row written so far starts
-    buf[ends] = ord("\r")
-    for col in reversed(columns):
-        neg = (col < 0).view(np.uint8)
-        buf[ends - 1] = ord("1")
-        buf[ends - 2] = neg + ord(",")  # "-" is "," + 1
-        ends -= neg + 2
-        buf[ends] = ord(",")
-    for m in range(len(str(n - 1)) if n else 0):
-        first = 10**m if m else 0  # the indices with a 10**m digit
-        buf[ends[first:] - 1 - m] = np.arange(first, n, dtype=ends.dtype) // 10**m % 10 + ord("0")
-    path.write_bytes(buf)
+    with path.open("wb") as fh:
+        fh.write(head.encode())
+        fh.writelines(_log_rows(0, columns))
+
+
+# An event-log row is a record of int64 words whose NUL bytes are deleted at the end: the
+# index's digits 8 at a time, its first word shifted past the leading zeros, then the tail
+# ",±1" per cell and "\r\n", looked up by the cells' sign bits.  Rows are built _ROWS at a
+# time, within a run of indices of one width, so the writer holds a chunk, not the file.
+_ROWS = 8192
+
+
+def _log_rows(first: int, columns: list[np.ndarray]) -> Iterator[bytes]:
+    r"""Rows "i,±1[,±1]\r\n" of the cells ``columns``, i = first, first + 1, ..., in chunks."""
+    k, n, start = len(columns), len(columns[0]), 0
+    tails = np.frombuffer(b"".join(
+        (b"".join(b",-1" if bits >> j & 1 else b",1" for j in range(k)) + b"\r\n").ljust(8, b"\0")
+        for bits in range(2**k)), np.int64)
+    while start < n:
+        width = len(str(first + start))
+        stop = min(n, start + _ROWS, 10**width - first)
+        groups = -(-width // 8)
+        buf = bytearray(8 * (groups + 1) * (stop - start))
+        words = np.frombuffer(buf, np.int64).reshape(-1, groups + 1)
+        i = np.arange(first + start, first + stop)
+        for w in range(groups):  # 8 digits a word, "0"-padded
+            part = i // 10 ** (8 * (groups - 1 - w)) % 10**8 if groups > 1 else i
+            high = part // 10**4
+            words[:, w] = np.take(_ASCII4, high) | np.take(_ASCII4, part - high * 10**4) << 32
+        words[:, 0] >>= 8 * (8 * groups - width)
+        signs = sum((col[start:stop] < 0).view(np.uint8) << j for j, col in enumerate(columns))
+        words[:, groups] = np.take(tails, signs)
+        yield buf.translate(None, b"\0")
+        start = stop
 
 
 def _read_table(path: Path, kind: str) -> np.ndarray:
@@ -378,9 +401,10 @@ def load_events(base: Path) -> EventLog | PairEventLog | DetectorData:
         raise SchemaMismatch(f"{sidecar_path}: unknown log kind {kind!r}")
     _require(meta, _SIDECAR_FIELDS[kind], sidecar_path)
     vectors = [key for key, type_ in _SIDECAR_FIELDS[kind].items() if type_ is _VECTOR]
-    if any(len(meta[key]) != 3 or not all(isinstance(c, _NUMBER) for c in meta[key])
-           for key in vectors):
-        raise SchemaMismatch(f"{sidecar_path}: {vectors} must each hold 3 numbers")
+    wrong = [key for key in vectors
+             if len(meta[key]) != 3 or not all(_is(c, _NUMBER) for c in meta[key])]
+    if wrong:
+        raise SchemaMismatch(f"{sidecar_path}: {wrong} must each hold 3 finite numbers")
     rows = _read_table(csv_path, kind)
     if kind == "detector":
         k_det = meta["k_det"]

@@ -1,16 +1,18 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import li_qt
@@ -18,6 +20,9 @@ from li_qt import io_cli, separation, wave_dynamics
 from li_qt.errors import CorruptData, SchemaMismatch
 from li_qt.eprb_experiment import PairEventLog, sample_eprb
 from li_qt.io_cli import (
+    _ROWS,
+    _log_rows,
+    _read_manifest,
     _read_table,
     _write_table,
     load_events,
@@ -242,6 +247,24 @@ MALFORMED.update({f"{name}_{kind}": (kind, text) for name, texts in LOOSE_SPELLI
                   for kind, text in zip(("sg", "eprb"), texts)})
 
 
+# id: (kind, sidecar field, the value written in its place).  JSON booleans are not
+# numbers, and each number must be finite as a float.
+MALFORMED_SIDECARS = {
+    "a_int_past_float_range": ("sg", "a", [10**400, 0, 0]),
+    "a_booleans": ("sg", "a", [True, False, False]),
+    "m_nan": ("sg", "m", [math.nan, 0.0, 1.0]),
+    "n_boolean": ("sg", "n", True),
+    "seed_boolean": ("sg", "seed", False),
+    "theta_int_past_float_range": ("sg", "theta", -(10**400)),
+    "theta_infinite": ("sg", "theta", math.inf),
+    "a1_int_past_float_range": ("eprb", "a1", [0, 0, 10**400]),
+    "a2_booleans": ("eprb", "a2", [False, True, False]),
+    "a2_infinite": ("eprb", "a2", [1.0, -math.inf, 0.0]),
+    "n_boolean_eprb": ("eprb", "n", True),
+    "theta_boolean_eprb": ("eprb", "theta", True),
+}
+
+
 def _drop_sidecar_field(csv_path: Path, key: str) -> None:
     sidecar = csv_path.with_suffix(".json")
     meta = json.loads(sidecar.read_text())
@@ -277,6 +300,17 @@ class TestMalformedFiles:
         with pytest.raises(SchemaMismatch, match="expected header"):
             load_events(csv_path)
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SIDECARS))
+    def test_sidecar_rejected(self, tmp_path, case):
+        kind, key, value = MALFORMED_SIDECARS[case]
+        csv_path = _write_log(tmp_path, kind, 3)
+        sidecar = csv_path.with_suffix(".json")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
+        with pytest.raises(SchemaMismatch, match=f"\\['{key}'\\]"):
+            load_events(csv_path)
+        command = ["sg", "fit"] if kind == "sg" else ["eprb", "test"]
+        assert run_command([*command, str(tmp_path)]) == 2
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_rejected(self, tmp_path, case):
         kind, text = MALFORMED[case]
@@ -291,6 +325,84 @@ class TestMalformedFiles:
             assert run_command(["eprb", "test", str(tmp_path)]) == 2
             assert run_command(["eprb", "test", str(csv_path), "--a1", "0,0,1",
                                 "--a2", "1,0,0"]) == 2
+
+
+def _same(loaded, original) -> bool:
+    """Whether two loaded logs (dataclasses holding arrays) or manifests are equal."""
+    if isinstance(original, dict):
+        return loaded == original
+    pairs = [(getattr(loaded, f.name), getattr(original, f.name))
+             for f in dataclasses.fields(original)]
+    return type(loaded) is type(original) and all(
+        np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b for a, b in pairs)
+
+
+def _schema_paths(doc: dict, kind: str) -> tuple[list[tuple], list[tuple]]:
+    """The places a loader checks: keys it requires (droppable) and values it types."""
+    keys = [(key,) for key in doc]
+    if kind in ("sg", "eprb"):
+        keys += [("conditions", key) for key in doc["conditions"]]
+    values = keys + [(key, i) for key, value in doc.items() if isinstance(value, list)
+                     for i in range(len(value))]
+    if kind == "manifest":
+        values += [("outputs", name) for name in doc["outputs"]]
+    return keys, values
+
+
+# A value of another JSON type put in a field's place: a boolean, an int past the float
+# range, a float (NaN and infinities too), a string, a list, null.
+RETYPED = st.one_of(st.sampled_from([True, False, 10**400, -(10**400), "1", [], [0.0] * 3, None]),
+                    st.floats())
+MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 2**16)),
+    st.tuples(st.just("retype"), st.integers(0, 2**16), RETYPED),
+    st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 2**16)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from(["sg", "eprb", "detector", "manifest"]), MUTATIONS)
+def test_mutated_sidecar_or_manifest_loads_equal_or_raises(tmp_path_factory, kind, mutation):
+    """A dropped or retyped field loads as before or is rejected.  So do flipped or
+    truncated bytes that still parse to the original document; bytes that parse to
+    another valid one (a flipped digit of ``seed``, say) may load as what it declares."""
+    tmp = tmp_path_factory.mktemp("sidecar")
+    csv_path = _write_log(tmp, "sg" if kind == "manifest" else kind, 3)
+    if kind == "manifest":
+        write_manifest(tmp, "sg run", {"n": 3, "seed": 1}, [csv_path, csv_path.with_suffix(".json")])
+        path, load = tmp / "manifest.json", lambda: _read_manifest(tmp)
+    else:
+        path, load = csv_path.with_suffix(".json"), lambda: load_events(csv_path)
+    original, data = load(), path.read_bytes()
+    doc = json.loads(data)
+    op, where, *value = mutation
+    if op in ("drop", "retype"):
+        keys, values = _schema_paths(doc, kind)
+        *parents, last = (keys if op == "drop" else values)[where % len(keys if op == "drop" else values)]
+        target = doc
+        for step in parents:
+            target = target[step]
+        if op == "drop":
+            del target[last]
+        else:
+            assume(type(value[0]) is not type(target[last]))
+            target[last] = value[0]
+        path.write_text(json.dumps(doc))
+    elif op == "flip":
+        at = where % len(data)
+        path.write_bytes(data[:at] + bytes([data[at] ^ value[0]]) + data[at + 1:])
+    else:
+        path.write_bytes(data[:where % len(data)])
+    try:
+        loaded = load()
+    except (SchemaMismatch, CorruptData):
+        return
+    try:
+        unchanged = op in ("drop", "retype") or json.loads(path.read_bytes()) == doc
+    except ValueError:
+        unchanged = False
+    assert not unchanged or _same(loaded, original)
 
 
 def _log_columns(kind: str, n: int, seed: int, p_minus: float) -> list[np.ndarray]:
@@ -343,9 +455,11 @@ def _grammar_cells(data: bytes, kind: str) -> list[tuple[int, ...]] | None:
     return cells
 
 
-# n across the edges of the index widths, 1 to 6 digits.
+# n across the edges of the index widths, 1 to 6 digits, and of the writer's chunks of
+# _ROWS rows (the first chunk of 4-digit indices ends before 1000 + _ROWS).
 WIDTH_EDGES = [0, 1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001,
-               99999, 100000, 100001, 120000]
+               99999, 100000, 100001, 120000, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1,
+               1000 + _ROWS, 1001 + _ROWS]
 KINDS = st.sampled_from(["sg", "eprb"])
 
 
@@ -384,6 +498,27 @@ class TestEventLogCodec:
         assert expected is not None
         got = log.outcomes[:, None] if kind == "sg" else np.column_stack([log.xs, log.ys])
         assert got.tolist() == [list(row) for row in expected]
+
+    @pytest.mark.parametrize("first", [10**8 - 2, 10**12 - 2, 10**16 - 2])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_rows_past_eight_digits(self, first, k):
+        # Indices of 9 to 17 digits take two and three words; no log reaches them.
+        columns = [np.array([1, -1, 1, 1, -1], np.int8)[::1 - 2 * j] for j in range(k)]
+        rows = (b"%d" % (first + i) + b"".join(b",%d" % col[i] for col in columns) + b"\r\n"
+                for i in range(5))
+        assert b"".join(_log_rows(first, columns)) == b"".join(rows)
+        assert b"".join(_log_rows(first, [np.ones(5, np.int8)])) == b"".join(
+            b"%d,1\r\n" % i for i in range(first, first + 5))
+
+    def test_writer_memory_does_not_grow_with_n(self, tmp_path):
+        columns = _log_columns("eprb", 300_000, 5, 0.5)
+        tracemalloc.start()
+        try:
+            _write_table(tmp_path / "eprb.csv", "eprb", columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20  # the whole-file writer peaked at 8.5 MiB
 
     @pytest.mark.parametrize("kind", ["sg", "eprb"])
     @pytest.mark.parametrize("n", [0, 1, 25])
