@@ -6,10 +6,10 @@ seeds, library version, RNG algorithm, timestamp, and a sha256 digest of
 every output file.  Re-running with the same configuration and seeds
 reproduces the CSV outputs byte for byte.
 
-Exit codes: 0 success, 2 usage or validation error (any ``ValueError`` or
-``OSError``), 3 numerical-contract failure (any ``RuntimeError``: boundary
-contact, unstable step, no signal, non-separable data; also a failed
-compliance test or digest mismatch).
+Exit codes: 0 success, 2 usage or validation error (any ``ValueError``,
+``OSError`` or ``MemoryError``), 3 numerical-contract failure (any
+``RuntimeError``: boundary contact, unstable step, no signal, non-separable
+data; also a failed compliance test or digest mismatch).
 """
 
 from __future__ import annotations
@@ -88,9 +88,10 @@ def _require(data: dict, fields: dict, path: Path) -> dict:
 
 # kind -> (header, dtype, allowed values of every column after ``index``).  Event
 # logs (allowed (-1, 1)) are byte-coded rows "i,±1[,±1]", i = 0..n-1, read back as
-# int8 cells without the index.  ``detector`` cells are written with "%d", float cells
-# as "%.17g" would print them (``_float_table``; NaN is "nan"); both read back with
-# ``np.loadtxt``.  Rows end in "\r\n"; on read "\n" also does, and the last may not.
+# int8 cells without the index; the reader compares the 8-byte words before each row's
+# first comma with "%08d" of i's digits 8 at a time.  ``detector`` cells are written with
+# "%d", float cells as "%.17g" would print them (``_float_table``; NaN is "nan"); both read
+# back with ``np.loadtxt``.  Rows end in "\r\n"; on read "\n" also does, and the last may not.
 _SCHEMAS = {
     "sg": (("index", "outcome"), np.int8, (-1, 1)),
     "eprb": (("index", "x", "y"), np.int8, (-1, 1)),
@@ -282,8 +283,9 @@ def _log_rows(first: int, columns: list[np.ndarray]) -> Iterator[bytes]:
         start = stop
 
 
-def _read_table(path: Path, kind: str) -> np.ndarray:
-    """The data columns of the CSV table ``kind`` at ``path``, validated in bulk."""
+def _read_table(path: Path, kind: str, first: int = 0) -> np.ndarray:
+    """The data columns of the CSV table ``kind`` at ``path``, validated in bulk; an event
+    log's indices count from ``first``, as ``_log_rows`` writes them."""
     header, dtype, allowed = _SCHEMAS[kind]
     raw = Path(path).read_bytes()
     if not raw.endswith(b"\n"):
@@ -319,12 +321,25 @@ def _read_table(path: Path, kind: str) -> np.ndarray:
         cells[j] = 1 - 2 * neg
         ends -= neg + 2
         ok &= buf[ends] == ord(",")
-    for m in range(len(str(n - 1)) if n else 0):  # the index digits, and a newline before them
-        first = 10**m if m else 0
-        digits = np.arange(first, n, dtype=ends.dtype) // 10**m % 10 + ord("0")
-        ok[first:] &= buf[ends[first:] - 1 - m] == digits
-        exact = slice(first, 10 ** (m + 1))  # the indices with m + 1 digits
-        ok[exact] &= buf[ends[exact] - 2 - m] == ord("\n")
+    words = np.ndarray((len(raw) - 7,), "<i8", raw, 0, (1,))  # the 8 bytes from each byte on
+    start = 0
+    while start < n:  # a run of indices of one width within a block of 10**4
+        i = first + start
+        width, block = len(str(i)), i // 10**4
+        stop = min(n, (block + 1) * 10**4 - first, 10**width - first)
+        rows = slice(start, stop)
+        ok[rows] &= ends[rows] - newlines[rows] == width + 1  # ``width`` bytes before the comma
+        for g in range(-(-width // 8)):  # the index's digits 8 at a time, from the last
+            # The word that ends 8 g bytes before the comma, less these digits "0"-padded, is
+            # 0 in its top bytes.  numpy would copy an index not intp; a short row failed above.
+            x = ends[rows] - np.intp(8 * g + 8)
+            x = words[np.maximum(x, 0, out=x)]
+            part = i // 10 ** (8 * g) % 10**8
+            x ^= (_ASCII4[part % 10**4:][:stop - start] if g == 0 else _ASCII4[part % 10**4]) << 32
+            x ^= _ASCII4[part // 10**4]
+            x >>= 8 * max(8 * g + 8 - width, 0)
+            ok[rows] &= x == 0
+        start = stop
     if not ok.all():
         raise CorruptData(f"{path}: data row {np.argmin(ok) + 1} is not 'index,±1' cells")
     return cells.T
@@ -1016,6 +1031,10 @@ def run_command(argv: list[str]) -> int:
     except RuntimeError as exc:  # the numerical-contract family of ``errors``
         print(f"contract failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
+    except MemoryError as exc:  # sizes past memory, e.g. an --n numpy refuses to allocate
+        command = " ".join(word for word in argv[:2] if not word.startswith("-"))
+        print(f"input error: MemoryError: {command}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

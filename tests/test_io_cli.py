@@ -460,7 +460,32 @@ def _grammar_cells(data: bytes, kind: str) -> list[tuple[int, ...]] | None:
 WIDTH_EDGES = [0, 1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001,
                99999, 100000, 100001, 120000, _ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1,
                1000 + _ROWS, 1001 + _ROWS]
+# n around the runs of 2 to 5 digits and the blocks of 10**4 rows that the reader checks,
+# with a row where one ends, or the log's end, for a mutated byte to lie near.
+RUN_EDGES = [99, 100, 101, 999, 1000, 1001, 9999, 10000, 10001, 20001]
+N_AND_EDGE = st.sampled_from(RUN_EDGES).flatmap(lambda n: st.tuples(st.just(n), st.sampled_from(
+    [edge for edge in (10, 100, 1000, 10**4, 2 * 10**4, n) if edge <= n])))
 KINDS = st.sampled_from(["sg", "eprb"])
+MUTATIONS = st.sampled_from(["flip", "insert", "delete"])
+BYTES = st.one_of(st.sampled_from(b"0123456789,-+\r\n \t"), st.integers(0, 255))
+
+
+def _mutate_and_compare(csv_path: Path, kind: str, n: int, op: str, where: int, byte: int):
+    """Flip, insert or delete one byte of the log at ``csv_path``, then require that it reads
+    as ``_grammar_cells`` says, or raises where the grammar reads no log of ``n`` rows."""
+    data = csv_path.read_bytes()
+    at = where % (len(data) + (op == "insert"))
+    tail = data[at:] if op == "insert" else data[at + 1:]
+    csv_path.write_bytes(data[:at] + (b"" if op == "delete" else bytes([byte])) + tail)
+    expected = _grammar_cells(csv_path.read_bytes(), kind)
+    try:
+        log = load_events(csv_path)
+    except (SchemaMismatch, CorruptData):
+        assert expected is None or len(expected) != n
+        return
+    assert expected is not None
+    got = log.outcomes[:, None] if kind == "sg" else np.column_stack([log.xs, log.ys])
+    assert got.tolist() == [list(row) for row in expected]
 
 
 class TestEventLogCodec:
@@ -478,37 +503,59 @@ class TestEventLogCodec:
         assert all(np.array_equal(cells[:, j], col) for j, col in enumerate(columns))
 
     @settings(derandomize=True, database=None, max_examples=400, deadline=None)
-    @given(KINDS, st.integers(0, 25), st.integers(0, 2**32 - 1),
-           st.sampled_from(["flip", "insert", "delete"]), st.integers(0, 2**20),
-           st.one_of(st.sampled_from(b"0123456789,-+\r\n \t"), st.integers(0, 255)))
+    @given(KINDS, st.integers(0, 25), st.integers(0, 2**32 - 1), MUTATIONS, st.integers(0, 2**20),
+           BYTES)
     def test_one_byte_mutation_reads_as_the_grammar_says_or_raises(
         self, tmp_path_factory, kind, n, seed, op, where, byte
     ):
         csv_path = _save_log(tmp_path_factory.mktemp("mutation"), kind, n, seed)
-        data = csv_path.read_bytes()
-        at = where % (len(data) + (op == "insert"))
-        tail = data[at:] if op == "insert" else data[at + 1:]
-        csv_path.write_bytes(data[:at] + (b"" if op == "delete" else bytes([byte])) + tail)
-        expected = _grammar_cells(csv_path.read_bytes(), kind)
-        try:
-            log = load_events(csv_path)
-        except (SchemaMismatch, CorruptData):
-            assert expected is None or len(expected) != n
-            return
-        assert expected is not None
-        got = log.outcomes[:, None] if kind == "sg" else np.column_stack([log.xs, log.ys])
-        assert got.tolist() == [list(row) for row in expected]
+        _mutate_and_compare(csv_path, kind, n, op, where, byte)
+
+    @settings(derandomize=True, database=None, max_examples=120, deadline=None)
+    @given(KINDS, N_AND_EDGE, st.integers(0, 2**32 - 1), MUTATIONS, st.integers(-3, 2),
+           st.integers(0, 12), BYTES)
+    def test_one_byte_mutation_near_run_edges(
+        self, tmp_path_factory, kind, n_edge, seed, op, offset, where, byte
+    ):
+        # The reader checks indices in runs of one width within blocks of 10**4 rows.
+        n, edge = n_edge
+        csv_path = _save_log(tmp_path_factory.mktemp("mutation"), kind, n, seed)
+        starts = np.flatnonzero(np.frombuffer(csv_path.read_bytes(), np.uint8) == ord("\n")) + 1
+        row = min(max(edge + offset, 0), n - 1)  # the byte lands in this row or the next
+        _mutate_and_compare(csv_path, kind, n, op, int(starts[row]) + where, byte)
+
+    @pytest.mark.parametrize("row", [9, 10, 99, 100, 9999, 10000, 19999])
+    @pytest.mark.parametrize("digit", [0, -1])
+    def test_wrong_index_digit_names_its_row(self, tmp_path, row, digit):
+        csv_path = _save_log(tmp_path, "sg", 20_000)
+        lines = csv_path.read_bytes().split(b"\r\n")
+        index = bytearray(lines[row + 1].split(b",")[0])
+        index[digit] = ord("0") + (index[digit] - ord("0") + 1) % 10
+        lines[row + 1] = bytes(index) + lines[row + 1][len(index):]
+        csv_path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(CorruptData, match=f"data row {row + 1} is not"):
+            load_events(csv_path)
 
     @pytest.mark.parametrize("first", [10**8 - 2, 10**12 - 2, 10**16 - 2])
     @pytest.mark.parametrize("k", [1, 2])
-    def test_rows_past_eight_digits(self, first, k):
+    def test_rows_past_eight_digits(self, tmp_path, first, k):
         # Indices of 9 to 17 digits take two and three words; no log reaches them.
         columns = [np.array([1, -1, 1, 1, -1], np.int8)[::1 - 2 * j] for j in range(k)]
-        rows = (b"%d" % (first + i) + b"".join(b",%d" % col[i] for col in columns) + b"\r\n"
-                for i in range(5))
+        rows = [b"%d" % (first + i) + b"".join(b",%d" % col[i] for col in columns) + b"\r\n"
+                for i in range(5)]
         assert b"".join(_log_rows(first, columns)) == b"".join(rows)
         assert b"".join(_log_rows(first, [np.ones(5, np.int8)])) == b"".join(
             b"%d,1\r\n" % i for i in range(first, first + 5))
+        kind, path = ("sg", "eprb")[k - 1], tmp_path / "log.csv"
+        head = ",".join(io_cli._SCHEMAS[kind][0]).encode() + b"\r\n"
+        path.write_bytes(head + b"".join(rows))
+        assert _read_table(path, kind, first).T.tolist() == [col.tolist() for col in columns]
+        for i, row in enumerate(rows):  # a wrong digit anywhere, in each group of 8, is found
+            for at in range(len(b"%d" % (first + i))):
+                wrong = row[:at] + bytes([row[at] ^ 1]) + row[at + 1:]  # another digit
+                path.write_bytes(head + b"".join(rows[:i]) + wrong + b"".join(rows[i + 1:]))
+                with pytest.raises(CorruptData, match=f"data row {i + 1} is not"):
+                    _read_table(path, kind, first)
 
     def test_writer_memory_does_not_grow_with_n(self, tmp_path):
         columns = _log_columns("eprb", 300_000, 5, 0.5)
@@ -519,6 +566,16 @@ class TestEventLogCodec:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20  # the whole-file writer peaked at 8.5 MiB
+
+    def test_reader_memory(self, tmp_path):
+        _write_table(tmp_path / "eprb.csv", "eprb", _log_columns("eprb", 300_000, 5, 0.5))
+        tracemalloc.start()
+        try:
+            _read_table(tmp_path / "eprb.csv", "eprb")  # 3.6 MiB
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20  # 9.5 MiB; the index check digit by digit peaked at 10.5
 
     @pytest.mark.parametrize("kind", ["sg", "eprb"])
     @pytest.mark.parametrize("n", [0, 1, 25])
@@ -1005,6 +1062,15 @@ def _fresh_out(*argv: str):
     return lambda tmp: [*argv, "--out", str(tmp / "out")]
 
 
+def _existing_out(*argv: str):
+    """``argv`` with an ``--out`` that exists already: ``sg run`` and ``eprb run`` create
+    it before they sample, so a failure while sampling leaves it behind."""
+    def make(tmp: Path) -> list[str]:
+        (tmp / "out").mkdir()
+        return [*argv, "--out", str(tmp / "out")]
+    return make
+
+
 def _evolve_with(flag: str, value: str):
     return _fresh_out("evolve", "--grid", "10,64,0.001,10", flag, value)
 
@@ -1064,6 +1130,9 @@ EXIT_CASES = {
            ("n_zero", "--n", "0", "--n must be at least 1, got 0"),
            ("seed_negative", "--seed", "-1", "--seed must be a non-negative integer, got -1"),
        )},
+    **{f"{cmd}_n_past_memory": (_existing_out(cmd, "run", "--theta", "0", "--n", str(10**15)),
+                                2, f"input error: MemoryError: {cmd} run: ")  # 7.11 PiB
+       for cmd in ("sg", "eprb")},
     "grid_dx_square_underflows": (_evolve_with("--grid", "1e-300,64,0.001,5"), 2,
                                   "--grid '1e-300,64,0.001,5' gives dx = 3.1746e-302"),
     "grid_dx_square_overflows": (_evolve_with("--grid", "1e300,64,0.001,5"), 2,
