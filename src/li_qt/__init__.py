@@ -8,7 +8,7 @@ Subpackages by concern:
 - ``eprb_experiment``  EPRB pair simulation, correlation reports, compliance tests
 - ``separation``       Pauli-basis separation of frequency data into source
   (density operator) and instrument parts
-- ``wave_dynamics``    detector-binned data model, Fisher functionals,
+- ``wave_dynamics``    detector bins, Fisher functionals,
   polar/wavefunction maps, Crank-Nicolson evolver
 - ``io_cli``           persistence, run manifests, the ``li-qt`` command line
 """

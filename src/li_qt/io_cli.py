@@ -33,7 +33,6 @@ from .inference_core import ExperimentConditions
 from .sg_experiment import EventLog, UnitVector3
 from .eprb_experiment import PairEventLog
 from .wave_dynamics import (
-    DetectorData,
     PhysicalParams,
     SpatialGrid,
     gaussian_packet,
@@ -86,24 +85,18 @@ def _require(data: dict, fields: dict, path: Path) -> dict:
     return data
 
 
-# kind -> (header, dtype, allowed values of every column after ``index``).  Event
-# logs (allowed (-1, 1)) are byte-coded rows "i,±1[,±1]", i = 0..n-1, read back as
-# int8 cells without the index; the reader compares the 8-byte words before each row's
-# first comma with "%08d" of i's digits 8 at a time.  ``detector`` cells are written with
-# "%d", float cells as "%.17g" would print them (``_float_table``; NaN is "nan"); both read
-# back with ``np.loadtxt``.  Rows end in "\r\n"; on read "\n" also does, and the last may not.
+# kind -> header.  Event logs (the kinds of ``_SIDECAR_FIELDS``) are byte-coded rows
+# "i,±1[,±1]", i = 0..n-1, read back as int8 cells without the index; the reader compares
+# the 8-byte words before each row's first comma with "%08d" of i's digits 8 at a time.
+# Float cells are written as "%.17g" prints them (``_float_table``; NaN is "nan"), read with
+# ``np.loadtxt``.  Rows end in "\r\n"; on read "\n" also does, and the last may not.
 _SCHEMAS = {
-    "sg": (("index", "outcome"), np.int8, (-1, 1)),
-    "eprb": (("index", "x", "y"), np.int8, (-1, 1)),
-    "detector": (("tau", "j", "count"), np.int64, None),
-    "sg_correlations": (("ax", "ay", "az", "mx", "my", "mz", "mean_x"), np.float64, None),
-    "eprb_correlations": (
-        ("a1x", "a1y", "a1z", "a2x", "a2y", "a2z", "mean_x", "mean_y", "mean_xy"),
-        np.float64,
-        None,
-    ),
-    "snapshot": (("x", "re_psi", "im_psi", "P", "S"), np.float64, None),
-    "eprb_report": (("theta", "xy_mean", "x_mean", "y_mean", "stderr_xy", "n"), np.float64, None),
+    "sg": ("index", "outcome"),
+    "eprb": ("index", "x", "y"),
+    "sg_correlations": ("ax", "ay", "az", "mx", "my", "mz", "mean_x"),
+    "eprb_correlations": ("a1x", "a1y", "a1z", "a2x", "a2y", "a2z", "mean_x", "mean_y", "mean_xy"),
+    "snapshot": ("x", "re_psi", "im_psi", "P", "S"),
+    "eprb_report": ("theta", "xy_mean", "x_mean", "y_mean", "stderr_xy", "n"),
 }
 # log kind -> sidecar field its loader reads -> the JSON type it must hold.
 _NUMBER = (int, float)
@@ -112,7 +105,6 @@ _LOG_FIELDS = {"n": int, "seed": int, "theta": _NUMBER, "conditions": dict}
 _SIDECAR_FIELDS = {
     "sg": {**_LOG_FIELDS, "a": _VECTOR, "m": _VECTOR},
     "eprb": {**_LOG_FIELDS, "a1": _VECTOR, "a2": _VECTOR},
-    "detector": {"k_det": int, "n_slices": int, "n_repeats": int},
 }
 _CONDITIONS_FIELDS = {"label": str, "parameters": dict}
 # manifest field -> the JSON type it must hold; ``outputs`` maps names to digest strings.
@@ -237,15 +229,10 @@ def _float_table(head: bytes, x: np.ndarray, n_cols: int) -> bytes:
 
 def _write_table(path: Path, kind: str, columns: list[np.ndarray]) -> None:
     """Write ``columns`` (an event log's index excluded) as the CSV table ``kind``."""
-    header, dtype, allowed = _SCHEMAS[kind]
+    header = _SCHEMAS[kind]
     head = ",".join(header) + "\r\n"
-    if dtype == np.float64:
+    if kind not in _SIDECAR_FIELDS:
         path.write_bytes(_float_table(head.encode(), np.column_stack(columns).ravel(), len(header)))
-        return
-    if allowed is None:
-        row = ",".join(["%d"] * len(header)) + "\r\n"
-        cells = tuple(np.column_stack(columns).ravel().tolist())
-        path.write_text(head + (row * len(columns[0])) % cells, newline="")
         return
     with path.open("wb") as fh:
         fh.write(head.encode())
@@ -286,7 +273,7 @@ def _log_rows(first: int, columns: list[np.ndarray]) -> Iterator[bytes]:
 def _read_table(path: Path, kind: str, first: int = 0) -> np.ndarray:
     """The data columns of the CSV table ``kind`` at ``path``, validated in bulk; an event
     log's indices count from ``first``, as ``_log_rows`` writes them."""
-    header, dtype, allowed = _SCHEMAS[kind]
+    header = _SCHEMAS[kind]
     raw = Path(path).read_bytes()
     if not raw.endswith(b"\n"):
         raw += b"\r\n"  # the missing last line ending; a lone "\r" before it stays wrong
@@ -294,12 +281,11 @@ def _read_table(path: Path, kind: str, first: int = 0) -> np.ndarray:
     found = raw[:head].removesuffix(b"\r").decode(errors="replace").split(",")
     if found != list(header):
         raise SchemaMismatch(f"{path}: expected header {list(header)}, got {found}")
-    if allowed is None:
+    if kind not in _SIDECAR_FIELDS:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             try:
-                rows = np.loadtxt(path, delimiter=",", dtype=dtype, ndmin=2, comments=None,
-                                  skiprows=1)
+                rows = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, skiprows=1)
             except ValueError as exc:
                 raise CorruptData(f"{path}: {exc}") from exc
         if rows.size == 0:
@@ -374,32 +360,7 @@ def save_pair_log(log: PairEventLog, base: Path) -> list[Path]:
     )
 
 
-def save_detector_data(data: DetectorData, base: Path, seed: int) -> list[Path]:
-    n_slices, width = data.clicks.shape
-    return _save(
-        base, "detector",
-        [np.repeat(np.arange(n_slices), width),
-         np.tile(np.arange(-data.k_det, data.k_det + 1), n_slices),
-         data.clicks.ravel()],
-        k_det=data.k_det, n_repeats=data.n_repeats, n_slices=n_slices, seed=seed,
-    )
-
-
-def _detector_clicks(rows: np.ndarray, n_slices: int, k_det: int, path: Path) -> np.ndarray:
-    """Click matrix from (tau, j, count) rows that cover each cell exactly once."""
-    tau, j, count = rows.T
-    width = 2 * k_det + 1
-    if not np.all((0 <= tau) & (tau < n_slices) & (-k_det <= j) & (j <= k_det)):
-        raise CorruptData(f"{path}: (tau, j) outside {n_slices} slices x |j| <= {k_det}")
-    cell = tau * width + j + k_det
-    if not np.all(np.bincount(cell, minlength=n_slices * width) == 1):
-        raise CorruptData(f"{path}: rows must cover each (tau, j) exactly once")
-    clicks = np.empty(n_slices * width, dtype=np.int64)
-    clicks[cell] = count
-    return clicks.reshape(n_slices, width)
-
-
-def load_events(base: Path) -> EventLog | PairEventLog | DetectorData:
+def load_events(base: Path) -> EventLog | PairEventLog:
     """Load whatever log the sidecar at ``base`` describes.
 
     ``base`` may point at the CSV, the JSON, or the common stem.
@@ -421,13 +382,6 @@ def load_events(base: Path) -> EventLog | PairEventLog | DetectorData:
     if wrong:
         raise SchemaMismatch(f"{sidecar_path}: {wrong} must each hold 3 finite numbers")
     rows = _read_table(csv_path, kind)
-    if kind == "detector":
-        k_det = meta["k_det"]
-        clicks = _detector_clicks(rows, meta["n_slices"], k_det, csv_path)
-        try:
-            return DetectorData(clicks=clicks, n_repeats=meta["n_repeats"], k_det=k_det)
-        except ValueError as exc:
-            raise CorruptData(f"{csv_path}: {exc}") from exc
     if rows.shape[0] != meta["n"]:
         raise CorruptData(f"{csv_path}: {rows.shape[0]} rows but sidecar declares n={meta['n']}")
     cond = _require(meta["conditions"], _CONDITIONS_FIELDS, sidecar_path)
@@ -486,6 +440,10 @@ def _read_manifest(out_dir: Path) -> dict:
     manifest = _require(_read_json(path), _MANIFEST_FIELDS, path)
     if not all(isinstance(v, str) for v in manifest["outputs"].values()):
         raise SchemaMismatch(f"{path}: wrong type for ['outputs']")
+    outside = [name for name in manifest["outputs"]
+               if name in ("", "..") or Path(name).name != name]  # a path, not a file name
+    if outside:
+        raise SchemaMismatch(f"{path}: outputs {outside} are not file names in {out_dir}")
     return manifest
 
 
@@ -725,11 +683,12 @@ def _build_potential(kind: str, mass: float):
         return harmonic_potential(omega=1.0, mass=mass)
     if kind.startswith("file:"):
         table = json.loads(Path(kind[5:]).read_text())
-        if not (isinstance(table, dict) and {"x", "v"} <= table.keys()):
-            raise ConfigError(f"{kind}: expected a JSON object with lists x and v")
-        xs = np.asarray(table["x"], dtype=float)
-        vs = np.asarray(table["v"], dtype=float)
-        if xs.ndim != 1 or xs.shape != vs.shape or xs.size < 2 or not np.all(np.diff(xs) > 0):
+        columns = [table.get(key) if isinstance(table, dict) else None for key in ("x", "v")]
+        if not all(isinstance(c, list) and all(isinstance(e, float) or _is(e, _NUMBER) for e in c)
+                   for c in columns):  # a float may be NaN; an int must fit a float
+            raise ConfigError(f"{kind}: expected a JSON object with lists x and v of numbers")
+        xs, vs = (np.array(c, dtype=float) for c in columns)
+        if xs.shape != vs.shape or xs.size < 2 or not np.all(np.diff(xs) > 0):
             raise ConfigError(f"{kind}: x and v need equal lengths >= 2, x strictly increasing")
         return lambda x: np.interp(x, xs, vs)  # NaN values reach the evolver's operator check
     raise ConfigError(f"unknown potential {kind!r}")

@@ -1,8 +1,8 @@
-"""Detector-binned position data, Fisher functionals, and the linear evolver.
+"""Detector bins, Fisher functionals, and the linear evolver.
 
-A particle on [-L, L] is probed by 2K+1 contiguous detectors of width L/K;
-repeated runs give click counts k_{j,tau}.  The robust-experiment functional
-over densities P(x, t) and phase fields S(x, t) is
+A particle on [-L, L] is probed by 2K+1 contiguous detectors of width L/K.
+The robust-experiment functional over densities P(x, t) and phase fields
+S(x, t) is
 
     F = int dx dt { (dP/dx)^2 / P
                     + 2 m lam [dS/dt + (dS/dx)^2 / (2m) + V] P },
@@ -190,25 +190,6 @@ class PhysicalParams:
         return np.broadcast_to(np.asarray(self.potential(x), dtype=float), x.shape)
 
 
-@dataclass(frozen=True)
-class DetectorData:
-    """Click counts k_{j,tau} for detectors j = -K..K over M time slices."""
-
-    clicks: np.ndarray
-    n_repeats: int
-    k_det: int
-
-    def __post_init__(self):
-        clicks = np.asarray(self.clicks, dtype=np.int64)
-        if clicks.ndim != 2 or clicks.shape[1] != 2 * self.k_det + 1:
-            raise ValueError("clicks must be (n_slices, 2*k_det + 1)")
-        if np.any(clicks < 0):
-            raise ValueError("counts must be nonnegative")
-        if np.any(clicks.sum(axis=1) != self.n_repeats):
-            raise ValueError("every time slice must contain exactly n_repeats clicks")
-        object.__setattr__(self, "clicks", clicks)
-
-
 # -- derivatives and quadrature ------------------------------------------------
 
 def _d_time(f: np.ndarray, dt: float) -> np.ndarray:
@@ -277,40 +258,6 @@ def detector_edges(L: float, k_det: int) -> np.ndarray:
     centers = np.arange(-k_det, k_det + 1) * delta
     edges = np.concatenate([centers - delta / 2, [centers[-1] + delta / 2]])
     return np.clip(edges, -L, L)
-
-
-def bin_probabilities(P_slice: np.ndarray, grid: SpatialGrid, k_det: int) -> np.ndarray:
-    """Integral of a density slice over each detector bin."""
-    x, P = grid.x, np.asarray(P_slice)
-    # Cumulative trapezoid, in the same arithmetic as SciPy's cumulative_trapezoid.
-    cumulative = np.concatenate(([0.0], np.cumsum(np.diff(x) * (P[1:] + P[:-1]) / 2.0)))
-    edges = detector_edges(grid.L, k_det)
-    cdf_at_edges = np.interp(edges, x, cumulative)
-    probs = np.diff(cdf_at_edges)
-    probs = np.maximum(probs, 0.0)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"bin probabilities sum to {total:.8f}, not 1")
-    return probs / total
-
-
-def simulate_detector_clicks(
-    P_true: PolarField,
-    grid: SpatialGrid,
-    k_det: int,
-    n: int,
-    seed: int,
-) -> DetectorData:
-    """Multinomial detector clicks, n per time slice, deterministic per seed."""
-    if n < 1:
-        raise ValueError("need at least one repeat")
-    _check_normalized(P_true.P, grid.dx, 1e-6, "P_true")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    rows = []
-    for tau in range(P_true.n_slices):
-        probs = bin_probabilities(P_true.P[tau], grid, k_det)
-        rows.append(rng.multinomial(n, probs))
-    return DetectorData(clicks=np.array(rows), n_repeats=n, k_det=k_det)
 
 
 # -- Fisher information ----------------------------------------------------------

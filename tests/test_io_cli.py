@@ -28,7 +28,6 @@ from li_qt.io_cli import (
     load_events,
     load_external_pair_csv,
     run_command,
-    save_detector_data,
     save_event_log,
     save_operator,
     save_pair_log,
@@ -37,13 +36,10 @@ from li_qt.io_cli import (
 )
 from li_qt.sg_experiment import EventLog, UnitVector3, sample_sg
 from li_qt.wave_dynamics import (
-    DetectorData,
     PhysicalParams,
-    PolarField,
     SpatialGrid,
     evolve_tdse,
     gaussian_packet,
-    simulate_detector_clicks,
 )
 
 Z = UnitVector3(0.0, 0.0, 1.0)
@@ -94,17 +90,6 @@ class TestLogPersistence:
         log = load_external_pair_csv(path, Z, X)
         assert log.n == 3
         assert list(log.xs) == [1, -1, 1]
-
-    def test_detector_round_trip(self, tmp_path):
-        grid = SpatialGrid(L=5.0, n_x=256, dt=0.1, n_t=3)
-        P = np.exp(-grid.x**2)
-        P /= np.trapezoid(P, dx=grid.dx)
-        fields = PolarField(P=np.tile(P, (3, 1)), S=np.zeros((3, grid.n_x)))
-        data = simulate_detector_clicks(fields, grid, k_det=4, n=500, seed=6)
-        save_detector_data(data, tmp_path / "det", seed=6)
-        loaded = load_events(tmp_path / "det")
-        assert np.array_equal(loaded.clicks, data.clicks)
-        assert loaded.k_det == 4
 
     def test_header_only_log_round_trip(self, tmp_path):
         empty = EventLog(outcomes=np.array([], dtype=np.int8), a=Z, m_direction=Z, seed=0)
@@ -174,16 +159,6 @@ class TestPinnedBytes:
             "eprb/eprb_000.json": "3b04d8326b5a6227c6594a4fd36235ea8a7a7f3f8159bc242098bff65b7cd1ae",
         }
 
-    def test_detector_data(self, tmp_path):
-        grid = SpatialGrid(L=5.0, n_x=256, dt=0.1, n_t=3)
-        P = np.exp(-grid.x**2)
-        P /= np.trapezoid(P, dx=grid.dx)
-        fields = PolarField(P=np.tile(P, (3, 1)), S=np.zeros((3, grid.n_x)))
-        data = simulate_detector_clicks(fields, grid, k_det=4, n=500, seed=6)
-        csv_path, sidecar = save_detector_data(data, tmp_path / "det", seed=6)
-        assert _sha(csv_path) == "e98cffc11e9a80125014c51b52ff09e35ca240590c5c0d0da9592dfd7e4823b9"
-        assert _sha(sidecar) == "884b5b00b50e897a68c74d82d2d6626c30be18e0eae4cde8534c87b5c5160f04"
-
     def test_evolve_snapshots(self, tmp_path):
         # Recorded before the factored stepper and the vectorized snapshot writer.
         assert run_command(["evolve", "--potential", "harmonic", "--grid", "10,256,0.005,40",
@@ -202,16 +177,12 @@ class TestPinnedBytes:
 
 
 def _write_log(tmp_path: Path, kind: str, n: int) -> Path:
-    """A valid log of ``n`` rows (detector: n = 3, one slice, k_det = 1)."""
+    """A valid log of ``n`` rows."""
     if kind == "sg":
         save_event_log(sample_sg(X, Z, n, seed=1), tmp_path / "sg_000")
         return tmp_path / "sg_000.csv"
-    if kind == "eprb":
-        save_pair_log(sample_eprb(Z, X, n, seed=1), tmp_path / "eprb_000")
-        return tmp_path / "eprb_000.csv"
-    data = DetectorData(clicks=np.array([[2, 3, 0]]), n_repeats=5, k_det=1)
-    save_detector_data(data, tmp_path / "det", seed=0)
-    return tmp_path / "det.csv"
+    save_pair_log(sample_eprb(Z, X, n, seed=1), tmp_path / "eprb_000")
+    return tmp_path / "eprb_000.csv"
 
 
 MALFORMED = {
@@ -225,10 +196,6 @@ MALFORMED = {
     "ragged_row": ("eprb", "index,x,y\n0,1,-1\n1,1\n"),
     "extra_column": ("eprb", "index,x,y\n0,1,-1,1\n1,1,1,1\n"),
     "pair_outcome_2": ("eprb", "index,x,y\n0,1,2\n"),
-    "detector_j_out_of_range": ("detector", "tau,j,count\n0,-2,2\n0,0,3\n0,-1,0\n"),
-    "detector_duplicate_cell": ("detector", "tau,j,count\n0,-1,5\n0,0,0\n0,1,0\n0,-1,5\n"),
-    "detector_missing_cell": ("detector", "tau,j,count\n0,-1,2\n0,0,3\n"),
-    "detector_tau_out_of_range": ("detector", "tau,j,count\n3,-1,2\n0,0,3\n0,1,0\n"),
 }
 # Spellings np.loadtxt accepted and reinterpreted, in an sg and in an eprb log;
 # the event-log reader takes only what the writer writes.
@@ -283,16 +250,14 @@ def _sg_correlations(path: Path, power: int = 1) -> Path:
 
 
 class TestMalformedFiles:
-    @pytest.mark.parametrize("kind,key", [("sg", "m"), ("eprb", "a2"), ("detector", "n_slices")])
+    @pytest.mark.parametrize("kind,key", [("sg", "m"), ("eprb", "a2")])
     def test_sidecar_missing_field(self, tmp_path, kind, key):
         csv_path = _write_log(tmp_path, kind, 3)
         _drop_sidecar_field(csv_path, key)
         with pytest.raises(SchemaMismatch, match=key):
             load_events(csv_path)
-        if kind == "sg":
-            assert run_command(["sg", "fit", str(tmp_path)]) == 2
-        elif kind == "eprb":
-            assert run_command(["eprb", "test", str(tmp_path)]) == 2
+        command = ["sg", "fit"] if kind == "sg" else ["eprb", "test"]
+        assert run_command([*command, str(tmp_path)]) == 2
 
     def test_header_not_utf8(self, tmp_path):
         csv_path = _write_log(tmp_path, "sg", 1)
@@ -321,7 +286,7 @@ class TestMalformedFiles:
             load_events(csv_path)
         if kind == "sg":
             assert run_command(["sg", "fit", str(tmp_path)]) == 2
-        elif kind == "eprb":
+        else:
             assert run_command(["eprb", "test", str(tmp_path)]) == 2
             assert run_command(["eprb", "test", str(csv_path), "--a1", "0,0,1",
                                 "--a2", "1,0,0"]) == 2
@@ -362,7 +327,7 @@ MUTATIONS = st.one_of(
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(st.sampled_from(["sg", "eprb", "detector", "manifest"]), MUTATIONS)
+@given(st.sampled_from(["sg", "eprb", "manifest"]), MUTATIONS)
 def test_mutated_sidecar_or_manifest_loads_equal_or_raises(tmp_path_factory, kind, mutation):
     """A dropped or retyped field loads as before or is rejected.  So do flipped or
     truncated bytes that still parse to the original document; bytes that parse to
@@ -547,7 +512,7 @@ class TestEventLogCodec:
         assert b"".join(_log_rows(first, [np.ones(5, np.int8)])) == b"".join(
             b"%d,1\r\n" % i for i in range(first, first + 5))
         kind, path = ("sg", "eprb")[k - 1], tmp_path / "log.csv"
-        head = ",".join(io_cli._SCHEMAS[kind][0]).encode() + b"\r\n"
+        head = ",".join(io_cli._SCHEMAS[kind]).encode() + b"\r\n"
         path.write_bytes(head + b"".join(rows))
         assert _read_table(path, kind, first).T.tolist() == [col.tolist() for col in columns]
         for i, row in enumerate(rows):  # a wrong digit anywhere, in each group of 8, is found
@@ -689,6 +654,15 @@ class TestManifest:
         manifest[key] = value
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SchemaMismatch, match=f"wrong type for \\['{key}'\\]"):
+            verify_manifest(tmp_path)
+
+    @pytest.mark.parametrize("name", ["../data.csv", "/data.csv", "sub/data.csv", "..", ".", ""])
+    def test_output_outside_run_rejected(self, tmp_path, name):
+        write_manifest(tmp_path, "sg run", {"n": 1}, [])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["outputs"][name] = "0" * 64
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaMismatch, match="are not file names"):
             verify_manifest(tmp_path)
 
 
@@ -1034,7 +1008,8 @@ class TestParserBranch:
 def _potential_file(text: str):
     def make_argv(tmp: Path) -> list[str]:
         (tmp / "v.json").write_text(text)
-        return ["evolve", "--potential", f"file:{tmp / 'v.json'}", "--grid", "10,64,0.001,10"]
+        return ["evolve", "--potential", f"file:{tmp / 'v.json'}", "--grid", "10,64,0.001,10",
+                "--out", str(tmp / "out")]
 
     return make_argv
 
@@ -1075,22 +1050,17 @@ def _evolve_with(flag: str, value: str):
     return _fresh_out("evolve", "--grid", "10,64,0.001,10", flag, value)
 
 
-def _manifest_without_outputs(tmp: Path) -> list[str]:
-    assert run_command(["sg", "run", "--theta", "0.5", "--n", "100", "--seed", "1",
-                        "--out", str(tmp)]) == 0
-    manifest = json.loads((tmp / "manifest.json").read_text())
-    del manifest["outputs"]
-    (tmp / "manifest.json").write_text(json.dumps(manifest))
-    return ["report", str(tmp), "--verify"]
+def _edited_manifest(edit):
+    """``report --verify`` of an ``sg run`` whose manifest ``edit`` changed in place."""
+    def make_argv(tmp: Path) -> list[str]:
+        assert run_command(["sg", "run", "--theta", "0.5", "--n", "100", "--seed", "1",
+                            "--out", str(tmp)]) == 0
+        manifest = json.loads((tmp / "manifest.json").read_text())
+        edit(manifest)
+        (tmp / "manifest.json").write_text(json.dumps(manifest))
+        return ["report", str(tmp), "--verify"]
 
-
-def _manifest_outputs_as_list(tmp: Path) -> list[str]:
-    assert run_command(["sg", "run", "--theta", "0.5", "--n", "100", "--seed", "1",
-                        "--out", str(tmp)]) == 0
-    manifest = json.loads((tmp / "manifest.json").read_text())
-    manifest["outputs"] = list(manifest["outputs"])
-    (tmp / "manifest.json").write_text(json.dumps(manifest))
-    return ["report", str(tmp), "--verify"]
+    return make_argv
 
 
 def _run_with_theta_grid(command: str, spec: str):
@@ -1114,8 +1084,18 @@ EXIT_CASES = {
     "potential_one_point": (_potential_file('{"x": [0], "v": [1]}'), 2, "ConfigError"),
     "potential_x_not_increasing": (_potential_file('{"x": [-10, 5, 0, 10], "v": [1, 0, 0, 1]}'),
                                    2, "ConfigError"),
-    "manifest_missing_outputs": (_manifest_without_outputs, 2, "lacks ['outputs']"),
-    "manifest_outputs_not_object": (_manifest_outputs_as_list, 2, "wrong type for ['outputs']"),
+    "potential_x_object": (_potential_file('{"x": {"a": 1}, "v": [1, 2]}'), 2,
+                           "lists x and v of numbers"),
+    "potential_v_object": (_potential_file('{"x": [-10, 10], "v": {"a": 1}}'), 2,
+                           "lists x and v of numbers"),
+    "potential_x_boolean": (_potential_file('{"x": [0, true], "v": [1, 2]}'), 2,
+                            "lists x and v of numbers"),
+    "manifest_missing_outputs": (_edited_manifest(lambda m: m.pop("outputs")), 2,
+                                 "lacks ['outputs']"),
+    "manifest_outputs_not_object": (_edited_manifest(lambda m: m.update(outputs=[*m["outputs"]])),
+                                    2, "wrong type for ['outputs']"),
+    "manifest_output_outside_run": (_edited_manifest(lambda m: m["outputs"].update(
+        {"../sg_000.csv": "0" * 64})), 2, "outputs ['../sg_000.csv'] are not file names"),
     "stride_zero": (lambda tmp: ["evolve", "--grid", "10,64,0.001,10", "--stride", "0"],
                     2, "stride"),
     "sidecar_missing_field": (_sg_log_without_m, 2, "lacks ['m']"),

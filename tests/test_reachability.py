@@ -14,9 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "li_qt"
-# Kept without a caller: the public re-exports, and the detector path, which
-# is the paper's data model for the Fisher functional.
-ALLOWED = {"__all__", "bin_probabilities", "simulate_detector_clicks", "save_detector_data"}
+ALLOWED = {"__all__"}
 
 
 def _names(node: ast.AST, strings: bool = False) -> set[str]:
@@ -94,3 +92,8 @@ def unreached() -> list[str]:
 
 def test_every_definition_has_a_caller():
     assert unreached() == []
+
+
+def test_every_allowed_name_is_defined():
+    defined = {name for _, _, name, _ in _definitions()[0]}
+    assert ALLOWED - defined == set()

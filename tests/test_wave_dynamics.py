@@ -7,19 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 from scipy.stats import norm as gaussian_dist
 
 from li_qt import wave_dynamics
 from li_qt.errors import BoundaryContact, PhaseUndefined, UnstableStep
 from li_qt.wave_dynamics import (
-    DetectorData,
     PhysicalParams,
     PolarField,
     SpatialGrid,
     WaveField,
-    bin_probabilities,
     check_madelung_extremum,
     detector_edges,
     evolve_tdse,
@@ -31,7 +28,6 @@ from li_qt.wave_dynamics import (
     harmonic_potential,
     polar_to_wave,
     random_polar_fields,
-    simulate_detector_clicks,
     wave_to_polar,
 )
 from li_qt.wave_dynamics import (
@@ -105,72 +101,10 @@ class TestGridAndFields:
 
 
 class TestDetectorModel:
-    grid = SpatialGrid(L=10.0, n_x=512, dt=1.0, n_t=1)
-
     def test_edges_cover_segment(self):
         edges = detector_edges(10.0, 5)
         assert edges[0] == -10.0 and edges[-1] == 10.0
         assert len(edges) == 12
-
-    def test_narrow_gaussian_hits_center_bin(self):
-        P = normalized_gaussian(self.grid, sigma=0.05)
-        data = simulate_detector_clicks(
-            PolarField(P=P, S=np.zeros_like(P)), self.grid, k_det=5, n=1000, seed=3
-        )
-        assert data.clicks[0, 5] == 1000  # bin j=0 is column k_det
-
-    def test_uniform_bin_expectations(self):
-        # Width L/K bins clipped to the segment: inner bins hold 1/10 of the
-        # mass, the two half-width edge bins 1/20 each.
-        P = np.full(self.grid.n_x, 1.0 / (2 * self.grid.L))
-        P /= np.trapezoid(P, dx=self.grid.dx)
-        probs = bin_probabilities(P, self.grid, k_det=5)
-        assert probs[0] == pytest.approx(0.05, abs=1e-9)
-        assert probs[-1] == pytest.approx(0.05, abs=1e-9)
-        assert probs[1:-1] == pytest.approx(np.full(9, 0.1), abs=1e-9)
-
-        n = 10**6
-        data = simulate_detector_clicks(
-            PolarField(P=P, S=np.zeros_like(P)), self.grid, k_det=5, n=n, seed=5
-        )
-        for col, p in enumerate(probs):
-            sigma = math.sqrt(n * p * (1 - p))
-            assert abs(data.clicks[0, col] - n * p) < 5 * sigma
-
-    def test_click_totals_invariant(self):
-        fields = random_polar_fields(
-            SpatialGrid(L=10.0, n_x=512, dt=0.1, n_t=4), n_slices=4, seed=11
-        )
-        data = simulate_detector_clicks(fields, self.grid, k_det=4, n=777, seed=2)
-        assert np.all(data.clicks.sum(axis=1) == 777)
-
-    def test_deterministic(self):
-        P = normalized_gaussian(self.grid, sigma=2.0)
-        field = PolarField(P=P, S=np.zeros_like(P))
-        a = simulate_detector_clicks(field, self.grid, k_det=5, n=500, seed=9)
-        b = simulate_detector_clicks(field, self.grid, k_det=5, n=500, seed=9)
-        assert np.array_equal(a.clicks, b.clicks)
-
-    def test_detector_data_invariant(self):
-        with pytest.raises(ValueError):
-            DetectorData(clicks=np.array([[1, 2, 3]]), n_repeats=7, k_det=1)
-
-
-def _bin_probabilities_reference(P, grid, k_det):
-    x = grid.x
-    cumulative = np.concatenate([[0.0], cumulative_trapezoid(P, x)])
-    probs = np.maximum(np.diff(np.interp(detector_edges(grid.L, k_det), x, cumulative)), 0.0)
-    return probs / probs.sum()
-
-
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(st.integers(16, 1024), st.floats(0.5, 20.0), st.integers(1, 12), st.integers(0, 2**32 - 1))
-def test_bin_probabilities_match_scipy_reference(n_x, L, k_det, seed):
-    grid = SpatialGrid(L=L, n_x=n_x, dt=1.0, n_t=1)
-    P = np.random.default_rng(seed).random(n_x)
-    P /= np.trapezoid(P, dx=grid.dx)
-    assert np.array_equal(bin_probabilities(P, grid, k_det),
-                          _bin_probabilities_reference(P, grid, k_det))
 
 
 class TestFisherDiscrete:
