@@ -1,10 +1,10 @@
 """Persistence, run manifests, and the ``li-qt`` command line.
 
-Event logs are CSV files with a JSON sidecar of the same stem; every run
-directory gets a ``manifest.json`` recording the resolved configuration,
-seeds, library version, RNG algorithm, timestamp, and a sha256 digest of
-every output file.  Re-running with the same configuration and seeds
-reproduces the CSV outputs byte for byte.
+Event logs are CSV files with a JSON sidecar of the same stem.  ``run_command``
+builds each run directory beside ``--out`` with a ``manifest.json`` (resolved
+configuration and seeds, library version, RNG algorithm, timestamp, every output's
+sha256), then renames it to ``--out``, replacing an earlier run but nothing else.
+Re-running with the same configuration and seeds reproduces the CSVs byte for byte.
 
 Exit codes: 0 success, 2 usage or validation error (any ``ValueError``,
 ``OSError`` or ``MemoryError``), 3 numerical-contract failure (any
@@ -19,7 +19,9 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 import warnings
 from collections.abc import Iterator
 from datetime import datetime, timezone
@@ -373,7 +375,7 @@ def load_events(base: Path) -> EventLog | PairEventLog:
             raise SchemaMismatch(f"missing file {path}")
     meta = _read_json(sidecar_path)
     kind = meta.get("kind")
-    if kind not in _SIDECAR_FIELDS:
+    if not isinstance(kind, str) or kind not in _SIDECAR_FIELDS:  # a list is unhashable
         raise SchemaMismatch(f"{sidecar_path}: unknown log kind {kind!r}")
     _require(meta, _SIDECAR_FIELDS[kind], sidecar_path)
     vectors = [key for key, type_ in _SIDECAR_FIELDS[kind].items() if type_ is _VECTOR]
@@ -420,10 +422,12 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir: Path, command: str, config: dict, outputs: list[Path]) -> Path:
+def write_manifest(out_dir: Path, args: argparse.Namespace, outputs: list[Path]) -> Path:
+    """Record ``args``' command, every parsed flag as resolved, and ``outputs``' digests."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "subcommand", "func")}
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": " ".join(filter(None, (args.command, getattr(args, "subcommand", None)))),
         "config": config,
         "library_version": __version__,
         "rng_algorithm": RNG_ALGORITHM,
@@ -498,12 +502,6 @@ def _parse_theta_grid(text: str) -> np.ndarray:
     return thetas
 
 
-def _config(args: argparse.Namespace, **resolved) -> dict:
-    """A manifest's ``config``: every parsed flag, with ``resolved`` values substituted."""
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "subcommand", "func")}
-    return {**flags, **resolved}
-
-
 # -- subcommand implementations --------------------------------------------------------
 
 def _check_seed(seed: int, n: int = 1) -> int:
@@ -514,13 +512,11 @@ def _check_seed(seed: int, n: int = 1) -> int:
     return seed
 
 
-def _cmd_sg_run(args) -> int:
-    seed = _check_seed(_fallback_seed(args.seed), args.n)
+def _cmd_sg_run(args, out: Path) -> list[Path]:
+    args.seed = _check_seed(_fallback_seed(args.seed), args.n)
     thetas = _parse_theta_grid(args.theta_grid)
     m = _parse_vector(args.m_direction)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    seeds = sg_experiment.derive_seeds(seed, len(thetas))
+    seeds = sg_experiment.derive_seeds(args.seed, len(thetas))
     outputs = []
     for i, (theta, child_seed) in enumerate(zip(thetas, seeds)):
         a = UnitVector3.from_polar(float(theta))
@@ -528,8 +524,7 @@ def _cmd_sg_run(args) -> int:
         outputs += save_event_log(log, out / f"sg_{i:03d}")
         e_hat, stderr = sg_experiment.estimate_expectation(log)
         print(f"theta={theta:.6f} n={args.n} e_hat={e_hat:+.6f} stderr={stderr:.2e}")
-    write_manifest(out, "sg run", _config(args, seed=seed), outputs)
-    return EXIT_OK
+    return outputs
 
 
 def _cmd_sg_fit(args) -> int:
@@ -561,12 +556,10 @@ def _cmd_sg_fit(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eprb_run(args) -> int:
-    seed = _check_seed(_fallback_seed(args.seed), args.n)
+def _cmd_eprb_run(args, out: Path) -> list[Path]:
+    args.seed = _check_seed(_fallback_seed(args.seed), args.n)
     thetas = _parse_theta_grid(args.theta_grid)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    seeds = sg_experiment.derive_seeds(seed, len(thetas))
+    seeds = sg_experiment.derive_seeds(args.seed, len(thetas))
     sign = -1 if args.correlation_sign == "-" else 1
     outputs = []
     for i, (theta, child_seed) in enumerate(zip(thetas, seeds)):
@@ -581,8 +574,7 @@ def _cmd_eprb_run(args) -> int:
             f"theta={theta:.6f} n={args.n} xy_mean={report.xy_mean:+.6f} "
             f"x_mean={report.x_mean:+.6f} y_mean={report.y_mean:+.6f}"
         )
-    write_manifest(out, "eprb run", _config(args, seed=seed), outputs)
-    return EXIT_OK
+    return outputs
 
 
 def _iter_pair_logs(args) -> list[PairEventLog]:
@@ -634,46 +626,37 @@ def _design(rows: np.ndarray) -> list[tuple[UnitVector3, UnitVector3]]:
     return [(UnitVector3(*r[0:3]), UnitVector3(*r[3:6])) for r in rows.tolist()]
 
 
-def _write_separation(args, command: str, rho: separation.HermitianOperator, summary: dict) -> None:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = [save_operator(rho, out / "rho.json"), _write_json(out / "separation.json", summary)]
-    write_manifest(out, command, _config(args), outputs)
-
-
-def _cmd_separate_sg(args) -> int:
+def _cmd_separate_sg(args, out: Path) -> list[Path]:
     rows = _read_table(args.input, "sg_correlations")
     result = separation.separate_sg(rows[:, 6], _design(rows), noise_floor=args.noise_floor)
     rho = separation.HermitianOperator(
         (separation.IDENTITY_2 + separation.pauli_vector(result.m_est)) / 2
     )
-    _write_separation(args, "separate sg", rho, {
-        "m_est": [float(v) for v in result.m_est],
-        "u0": result.u0,
-        "residual": result.residual,
-        "trivial_signal": result.trivial_signal,
-    })
     print(
         f"m_est=({result.m_est[0]:+.6f}, {result.m_est[1]:+.6f}, {result.m_est[2]:+.6f}) "
         f"u0={result.u0:+.2e} residual={result.residual:.2e}"
         + (" [trivial signal]" if result.trivial_signal else "")
     )
-    return EXIT_OK
+    return [save_operator(rho, out / "rho.json"), _write_json(out / "separation.json", {
+        "m_est": [float(v) for v in result.m_est],
+        "u0": result.u0,
+        "residual": result.residual,
+        "trivial_signal": result.trivial_signal,
+    })]
 
 
-def _cmd_separate_eprb(args) -> int:
+def _cmd_separate_eprb(args, out: Path) -> list[Path]:
     rows = _read_table(args.input, "eprb_correlations")
     result = separation.separate_eprb(_design(rows), *rows[:, 6:9].T, noise_floor=args.noise_floor)
-    _write_separation(args, "separate eprb", result.rho(), {
+    print(f"rho0={result.coeffs.rho0:.6f} residual={result.residual:.2e}")
+    return [save_operator(result.rho(), out / "rho.json"), _write_json(out / "separation.json", {
         "rho0": result.coeffs.rho0,
         "rho1": [float(v) for v in result.coeffs.rho1],
         "rho2": [float(v) for v in result.coeffs.rho2],
         "rho12": [[float(v) for v in row] for row in result.coeffs.rho12],
         "residual": result.residual,
         "block_residuals": result.block_residuals,
-    })
-    print(f"rho0={result.coeffs.rho0:.6f} residual={result.residual:.2e}")
-    return EXIT_OK
+    })]
 
 
 def _build_potential(kind: str, mass: float):
@@ -688,13 +671,14 @@ def _build_potential(kind: str, mass: float):
                    for c in columns):  # a float may be NaN; an int must fit a float
             raise ConfigError(f"{kind}: expected a JSON object with lists x and v of numbers")
         xs, vs = (np.array(c, dtype=float) for c in columns)
-        if xs.shape != vs.shape or xs.size < 2 or not np.all(np.diff(xs) > 0):
-            raise ConfigError(f"{kind}: x and v need equal lengths >= 2, x strictly increasing")
+        if xs.shape != vs.shape or xs.size < 2 or not np.all(np.diff(xs) > 0) or np.isinf(xs).any():
+            raise ConfigError(f"{kind}: x and v need equal lengths >= 2, x finite and strictly "
+                              "increasing")
         return lambda x: np.interp(x, xs, vs)  # NaN values reach the evolver's operator check
     raise ConfigError(f"unknown potential {kind!r}")
 
 
-def _cmd_evolve(args) -> int:
+def _cmd_evolve(args, out: Path) -> list[Path]:
     parts = args.grid.split(",")
     if len(parts) != 4:
         raise ConfigError(f"--grid expects L,n_x,dt,n_t, got {args.grid!r}")
@@ -717,19 +701,16 @@ def _cmd_evolve(args) -> int:
         psi0, params, grid, store_every=args.stride, check_boundary=not args.allow_boundary
     )
     polar = traj.polar()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     outputs = [out / f"snap_{k:06d}.csv" for k in range(len(traj.psi))]
     for k, (path, psi) in enumerate(zip(outputs, traj.psi)):
         _write_table(path, "snapshot", [grid.x, psi.real, psi.imag, polar.P[k], polar.S[k]])
-    write_manifest(out, "evolve", _config(args), outputs)
     print(
         f"stored {traj.psi.shape[0]} snapshots; final norm drift {traj.norm_drift:.2e}; "
         f"max norm drift {traj.max_norm_drift:.2e}; energy drift "
         f"{abs(traj.energies[-1] - traj.energies[0]):.2e}; "
         f"max wall mass {traj.max_edge_mass:.2e}"
     )
-    return EXIT_OK
+    return outputs
 
 
 def _cmd_check_fq(args) -> int:
@@ -909,6 +890,8 @@ _COMMANDS = (
         ("--verify", {"action": "store_true"}),
     )),
 )
+# The commands that write a run directory at ``--out``, through ``_write_run``.
+_RUN_DIRS = {_cmd_sg_run, _cmd_eprb_run, _cmd_separate_sg, _cmd_separate_eprb, _cmd_evolve}
 
 
 def build_parser(argv=()) -> argparse.ArgumentParser:
@@ -979,11 +962,32 @@ def _expand_config(argv: list[str]) -> list[str]:
     return [*words, *preset, *argv[len(words):]]
 
 
+def _write_run(args: argparse.Namespace) -> int:
+    """Let ``args.func(args, directory)`` write a new directory and return the paths it wrote;
+    add the manifest, then rename it to ``--out``.  A failure leaves ``--out`` as it was."""
+    out = Path(os.path.abspath(args.out))  # "." and "a/.." get a name and a parent
+    entries = os.scandir(out) if out.exists() else ()  # a file raises NotADirectoryError
+    files = {e.name: e.is_file(follow_symlinks=False) for e in entries}
+    if out.is_symlink() or files and not (all(files.values()) and files.get("manifest.json")):
+        raise ConfigError(f"--out {args.out} holds more than a li-qt run; left as it is")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        (run := stage / "run").mkdir()  # with the usual mode, not mkdtemp's 0o700
+        write_manifest(run, args, args.func(args, run))
+        if out.exists():
+            out.rename(stage / "old")  # removed with the stage
+        run.rename(out)
+    finally:
+        shutil.rmtree(stage)
+    return EXIT_OK
+
+
 def run_command(argv: list[str]) -> int:
     try:
         argv = _expand_config(list(argv))
         args = build_parser(argv).parse_args(argv)
-        return args.func(args)
+        return _write_run(args) if args.func in _RUN_DIRS else args.func(args)
     except (OSError, ValueError) as exc:  # ConfigError, SchemaMismatch, CorruptData, EmptyLog, ...
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE

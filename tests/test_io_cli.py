@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import hashlib
 import json
@@ -119,6 +120,11 @@ class TestLogPersistence:
                                 tmp_path / "pair_ints")
         _, floats = save_pair_log(sample_eprb(Z, X, 10, 1), tmp_path / "pair_floats")
         assert ints.read_bytes() == floats.read_bytes()
+
+
+def _sg_run_args(**flags) -> argparse.Namespace:
+    """The parsed arguments of an ``sg run`` that sets ``flags``."""
+    return argparse.Namespace(command="sg", subcommand="run", func=None, **flags)
 
 
 def _sha(path: Path) -> str:
@@ -335,7 +341,7 @@ def test_mutated_sidecar_or_manifest_loads_equal_or_raises(tmp_path_factory, kin
     tmp = tmp_path_factory.mktemp("sidecar")
     csv_path = _write_log(tmp, "sg" if kind == "manifest" else kind, 3)
     if kind == "manifest":
-        write_manifest(tmp, "sg run", {"n": 3, "seed": 1}, [csv_path, csv_path.with_suffix(".json")])
+        write_manifest(tmp, _sg_run_args(n=3, seed=1), [csv_path, csv_path.with_suffix(".json")])
         path, load = tmp / "manifest.json", lambda: _read_manifest(tmp)
     else:
         path, load = csv_path.with_suffix(".json"), lambda: load_events(csv_path)
@@ -622,19 +628,19 @@ class TestManifest:
     def test_write_and_verify(self, tmp_path):
         target = tmp_path / "data.csv"
         target.write_text("index,outcome\n0,1\n")
-        write_manifest(tmp_path, "sg run", {"n": 1}, [target])
+        write_manifest(tmp_path, _sg_run_args(n=1), [target])
         assert verify_manifest(tmp_path) == []
 
     def test_tamper_detected(self, tmp_path):
         target = tmp_path / "data.csv"
         target.write_text("index,outcome\n0,1\n")
-        write_manifest(tmp_path, "sg run", {"n": 1}, [target])
+        write_manifest(tmp_path, _sg_run_args(n=1), [target])
         target.write_text("index,outcome\n0,-1\n")
         problems = verify_manifest(tmp_path)
         assert problems and "mismatch" in problems[0]
 
     def test_missing_key_rejected(self, tmp_path):
-        write_manifest(tmp_path, "sg run", {"n": 1}, [])
+        write_manifest(tmp_path, _sg_run_args(n=1), [])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         del manifest["outputs"]
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -649,7 +655,7 @@ class TestManifest:
         ("created_utc", None),
     ])
     def test_wrong_type_rejected(self, tmp_path, key, value):
-        write_manifest(tmp_path, "sg run", {"n": 1}, [])
+        write_manifest(tmp_path, _sg_run_args(n=1), [])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         manifest[key] = value
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -658,7 +664,7 @@ class TestManifest:
 
     @pytest.mark.parametrize("name", ["../data.csv", "/data.csv", "sub/data.csv", "..", ".", ""])
     def test_output_outside_run_rejected(self, tmp_path, name):
-        write_manifest(tmp_path, "sg run", {"n": 1}, [])
+        write_manifest(tmp_path, _sg_run_args(n=1), [])
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         manifest["outputs"][name] = "0" * 64
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -1037,15 +1043,6 @@ def _fresh_out(*argv: str):
     return lambda tmp: [*argv, "--out", str(tmp / "out")]
 
 
-def _existing_out(*argv: str):
-    """``argv`` with an ``--out`` that exists already: ``sg run`` and ``eprb run`` create
-    it before they sample, so a failure while sampling leaves it behind."""
-    def make(tmp: Path) -> list[str]:
-        (tmp / "out").mkdir()
-        return [*argv, "--out", str(tmp / "out")]
-    return make
-
-
 def _evolve_with(flag: str, value: str):
     return _fresh_out("evolve", "--grid", "10,64,0.001,10", flag, value)
 
@@ -1090,6 +1087,10 @@ EXIT_CASES = {
                            "lists x and v of numbers"),
     "potential_x_boolean": (_potential_file('{"x": [0, true], "v": [1, 2]}'), 2,
                             "lists x and v of numbers"),
+    "potential_x_minus_infinity": (_potential_file('{"x": [-Infinity, 10], "v": [0, 1]}'), 2,
+                                   "x finite and strictly increasing"),
+    "potential_x_overflows": (_potential_file('{"x": [-10, 1e400], "v": [0, 1]}'), 2,
+                              "x finite and strictly increasing"),
     "manifest_missing_outputs": (_edited_manifest(lambda m: m.pop("outputs")), 2,
                                  "lacks ['outputs']"),
     "manifest_outputs_not_object": (_edited_manifest(lambda m: m.update(outputs=[*m["outputs"]])),
@@ -1110,7 +1111,7 @@ EXIT_CASES = {
            ("n_zero", "--n", "0", "--n must be at least 1, got 0"),
            ("seed_negative", "--seed", "-1", "--seed must be a non-negative integer, got -1"),
        )},
-    **{f"{cmd}_n_past_memory": (_existing_out(cmd, "run", "--theta", "0", "--n", str(10**15)),
+    **{f"{cmd}_n_past_memory": (_fresh_out(cmd, "run", "--theta", "0", "--n", str(10**15)),
                                 2, f"input error: MemoryError: {cmd} run: ")  # 7.11 PiB
        for cmd in ("sg", "eprb")},
     "grid_dx_square_underflows": (_evolve_with("--grid", "1e-300,64,0.001,5"), 2,
@@ -1141,6 +1142,7 @@ EXIT_CASES = {
     "sidecar_conditions_list": (_sg_log_with("conditions", [1]), 2,
                                 "wrong type for ['conditions']"),
     "sidecar_seed_list": (_sg_log_with("seed", [1]), 2, "wrong type for ['seed']"),
+    "sidecar_kind_list": (_sg_log_with("kind", []), 2, "unknown log kind []"),
     "grid_dt_nan": (lambda tmp: ["evolve", "--grid", "10,64,nan,5", "--out", str(tmp)],
                     2, "time step dt must be finite and positive, got nan"),
     "grid_L_inf": (lambda tmp: ["evolve", "--grid", "inf,64,0.001,5", "--out", str(tmp)],
@@ -1190,3 +1192,89 @@ def test_exit_codes(tmp_path, monkeypatch, capsys, case):
     assert [str(w.message) for w in caught] == []
     if fresh_out:  # a failed command leaves no output directory behind
         assert not out.exists()
+    if out is not None:  # nor a temporary one beside it
+        assert list(out.parent.glob(f".{out.name}.*")) == []
+
+
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every file's bytes and every directory (as None) under ``root``, by relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def _run_sg(out: Path, count: int, *flags: str) -> int:
+    return run_command(["sg", "run", "--theta-grid", f"0:1:{count}", "--n", "50", *flags,
+                        "--out", str(out)])
+
+
+class TestRunDirectory:
+    """``run_command`` builds a run directory beside ``--out`` and renames it into place."""
+
+    def test_rerun_replaces_the_earlier_run(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert _run_sg(out, 16, "--seed", "1") == 0
+        (out / "fit.json").write_text("{}")  # what ``sg fit`` adds to a run
+        assert _run_sg(out, 12, "--seed", "1") == 0
+        assert sorted(p.name for p in out.glob("sg_*.csv")) == [f"sg_{i:03d}.csv" for i in range(12)]
+        assert not (out / "fit.json").exists()
+        assert run_command(["report", str(out), "--verify"]) == 0
+        assert capsys.readouterr().out.endswith("verify: all digests match\n")
+
+    @pytest.mark.parametrize("extra", ["foreign file", "subdirectory", "link"])
+    def test_foreign_out_refused_untouched(self, tmp_path, capsys, extra):
+        out = tmp_path / "run"
+        if extra == "foreign file":
+            out.mkdir()
+            (out / "notes.txt").write_text("not li-qt's")
+        elif extra == "subdirectory":  # a run that also holds a directory, which li-qt never writes
+            assert _run_sg(out, 2) == 0
+            (out / "sub").mkdir()
+            (out / "sub" / "data.csv").write_text("1,2\n")
+        else:  # a link to a run
+            assert _run_sg(tmp_path / "target", 2) == 0
+            out.symlink_to(tmp_path / "target")
+        before = _tree(tmp_path)
+        assert _run_sg(out, 3) == 2
+        assert "holds more than a li-qt run; left as it is" in capsys.readouterr().err
+        assert _tree(tmp_path) == before
+
+    def test_failed_rerun_keeps_the_earlier_run(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert _run_sg(out, 4) == 0
+        before = _tree(tmp_path)
+        assert run_command(["sg", "run", "--theta", "0", "--n", str(10**15),  # 7.11 PiB
+                            "--out", str(out)]) == 2
+        assert "input error: MemoryError: sg run: " in capsys.readouterr().err
+        assert _tree(tmp_path) == before
+        assert run_command(["report", str(out), "--verify"]) == 0
+
+    @pytest.mark.parametrize("theta", ["0.5", "nan"])
+    def test_no_temporary_directory_left(self, tmp_path, theta):
+        (tmp_path / "runs").mkdir()
+        code = run_command(["sg", "run", "--theta", theta, "--n", "10", "--out",
+                            str(tmp_path / "runs" / "a")])
+        assert code == (0 if theta == "0.5" else 2)
+        assert [p.name for p in (tmp_path / "runs").iterdir()] == (["a"] if code == 0 else [])
+
+    def test_manifest_records_the_given_out_and_resolved_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LI_QT_SEED", "41")
+        monkeypatch.chdir(tmp_path)
+        assert _run_sg(Path("rel"), 2) == 0
+        config = json.loads((tmp_path / "rel" / "manifest.json").read_text())["config"]
+        assert config["out"] == "rel" and config["seed"] == 41
+
+    def test_one_path_writes_run_directories(self):
+        """No command body makes ``--out`` or writes a manifest itself."""
+        callers: dict[str, set[str]] = {}
+        for stmt in ast.parse(Path(io_cli.__file__).read_text()).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    callers.setdefault(called, set()).add(getattr(stmt, "name", "<module>"))
+        assert callers["write_manifest"] == {"_write_run"}
+        assert callers["mkdir"] == {"_write_run", "_cmd_eprb_report"}  # report's file parent
+        assert callers["mkdtemp"] == {"_write_run"} and "makedirs" not in callers
+        writes_run = {func for _, _, func, _, arguments in io_cli._COMMANDS
+                      for flag, options in arguments
+                      if flag == "--out" and str(options.get("default")).endswith("_out")}
+        assert io_cli._RUN_DIRS == writes_run
