@@ -76,13 +76,13 @@ def eprb_probability(
     a2: UnitVector3,
     correlation_sign: int = -1,
 ) -> float:
-    """Pair probability (1 + s x y a1.a2) / 4 with s the correlation sign."""
+    """Pair probability (1 + s x y a1.a2) / 4 with s the correlation sign, never negative."""
     x, y = pair
     if x not in (1, -1) or y not in (1, -1):
         raise ValueError("pair outcomes must be +1 or -1")
     if correlation_sign not in (1, -1):
         raise ValueError("correlation sign must be +1 or -1")
-    return (1 + correlation_sign * x * y * a1.dot(a2)) / 4
+    return (1 + correlation_sign * x * y * a1.cos_to(a2)) / 4
 
 
 def pair_probabilities(
@@ -104,16 +104,15 @@ def sample_eprb(
     """Draw n independent pairs from the four-outcome distribution."""
     if n < 1:
         raise ValueError("need at least one pair")
-    probs = pair_probabilities(a1, a2, correlation_sign)
-    edges = np.cumsum(probs)
+    edges = np.cumsum(pair_probabilities(a1, a2, correlation_sign))
     rng = np.random.Generator(np.random.PCG64(seed))
-    idx = np.searchsorted(edges, rng.random(n), side="right")
-    idx = np.minimum(idx, 3)  # guard the u == 1.0 endpoint
-    lookup = np.array(PAIR_SPACE, dtype=np.int8)
-    xs, ys = lookup[idx, 0], lookup[idx, 1]
+    uniforms = rng.random(n)
+    # No probability is negative, so the edges are sorted and a pair's PAIR_SPACE
+    # index is the number of edges at or below its uniform; edges[:3] stops it at 3.
+    past = [uniforms >= edge for edge in edges[:3]]
     return PairEventLog(
-        xs=xs,
-        ys=ys,
+        xs=1 - 2 * past[1].view(np.int8),  # x = -1 from index 2 on
+        ys=1 - 2 * (past[0] ^ past[1] ^ past[2]).view(np.int8),  # y = -1 at odd indices
         a1=a1,
         a2=a2,
         seed=int(seed),

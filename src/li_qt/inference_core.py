@@ -86,7 +86,7 @@ class CountTable:
         xs = np.asarray(xs)
         ys = np.asarray(ys)
         counts = {
-            (x, y): int(np.sum((xs == x) & (ys == y))) for (x, y) in PAIR_SPACE
+            (x, y): int(np.count_nonzero((xs == x) & (ys == y))) for (x, y) in PAIR_SPACE
         }
         return cls(counts, PAIR_SPACE)
 

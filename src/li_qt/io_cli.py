@@ -970,6 +970,8 @@ def _write_run(args: argparse.Namespace) -> int:
     files = {e.name: e.is_file(follow_symlinks=False) for e in entries}
     if out.is_symlink() or files and not (all(files.values()) and files.get("manifest.json")):
         raise ConfigError(f"--out {args.out} holds more than a li-qt run; left as it is")
+    if out.exists() and os.path.samefile(out, os.curdir):  # replacing it would delete it
+        raise ConfigError(f"--out {args.out} is the working directory; left as it is")
     out.parent.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
     try:

@@ -70,8 +70,12 @@ class UnitVector3:
     def dot(self, other: "UnitVector3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
+    def cos_to(self, other: "UnitVector3") -> float:
+        """The dot product clamped to [-1, 1], which rounding and ``_UNIT_TOL`` can overstep."""
+        return min(1.0, max(-1.0, self.dot(other)))
+
     def angle_to(self, other: "UnitVector3") -> float:
-        return math.acos(min(1.0, max(-1.0, self.dot(other))))
+        return math.acos(self.cos_to(other))
 
 
 @dataclass(frozen=True)
@@ -125,7 +129,7 @@ def sg_probability(x: int, a: UnitVector3, m: UnitVector3, sign: int = 1) -> flo
         raise ValueError("outcome must be +1 or -1")
     if sign not in (1, -1):
         raise ValueError("sign convention must be +1 or -1")
-    return (1 + sign * x * a.dot(m)) / 2
+    return (1 + sign * x * a.cos_to(m)) / 2
 
 
 def derive_seeds(seed: int, count: int) -> list[int]:
@@ -147,9 +151,8 @@ def sample_sg(
     p_plus = sg_probability(1, a, m, sign)
     rng = np.random.Generator(np.random.PCG64(seed))
     uniforms = rng.random(n)
-    outcomes = np.where(uniforms < p_plus, 1, -1).astype(np.int8)
     return EventLog(
-        outcomes=outcomes,
+        outcomes=1 - 2 * (uniforms >= p_plus).view(np.int8),
         a=a,
         m_direction=m,
         seed=int(seed),

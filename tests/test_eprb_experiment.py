@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_rotation
+from conftest import orientation_pairs, random_rotation
 from li_qt.errors import EmptyLog
 from li_qt.eprb_experiment import (
     PAIR_SPACE,
@@ -26,6 +28,26 @@ from li_qt.sg_experiment import UnitVector3, fit_robust_solution
 
 Z = UnitVector3(0.0, 0.0, 1.0)
 X = UnitVector3(1.0, 0.0, 0.0)
+# a . a = 1 + 2.2e-16: rounding takes the raw dot product past 1.
+PAST_ONE = UnitVector3(0.36486176735685877, 0.9240647543268905, -0.11393077078653184)
+# a . a = 1 + 1e-12: a length inside _UNIT_TOL is not renormalized.
+INSIDE_TOL = UnitVector3(1 + 5e-13, 0.0, 0.0)
+SIGNS = st.sampled_from([-1, 1])
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+def _searchsorted_pairs(a1, a2, n, seed, correlation_sign):
+    """xs and ys as ``sample_eprb`` drew them with ``searchsorted`` and a lookup table.
+
+    This was the sampler before it compared the uniforms with the CDF edges; it is
+    kept here only as the reference for bitwise equality.
+    """
+    edges = np.cumsum(pair_probabilities(a1, a2, correlation_sign))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    idx = np.searchsorted(edges, rng.random(n), side="right")
+    idx = np.minimum(idx, 3)  # guard the u == 1.0 endpoint
+    lookup = np.array(PAIR_SPACE, dtype=np.int8)
+    return lookup[idx, 0], lookup[idx, 1]
 
 
 class TestPairProbability:
@@ -75,6 +97,22 @@ class TestPairProbability:
     def test_correlation_sign_flip(self):
         assert eprb_probability((1, 1), Z, Z, correlation_sign=1) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("a", [PAST_ONE, INSIDE_TOL], ids=["past_one", "inside_tol"])
+    def test_never_negative_for_a_dot_product_past_one(self, a):
+        assert a.dot(a) > 1.0
+        assert pair_probabilities(a, a).tolist() == [0.0, 0.5, 0.5, 0.0]
+
+    def test_cdf_edges_sorted(self):
+        edges = np.cumsum(pair_probabilities(PAST_ONE, PAST_ONE))
+        assert np.all(np.diff(edges) >= 0) and edges.tolist() == [0.0, 0.5, 1.0, 1.0]
+
+    @PROPERTY
+    @given(orientation_pairs(), SIGNS)
+    def test_probabilities_in_unit_interval_and_normalized(self, pair, sign):
+        p = pair_probabilities(*pair, correlation_sign=sign)
+        assert np.all((p >= 0) & (p <= 1))
+        assert abs(p.sum() - 1.0) <= 1e-15
+
 
 class TestSampling:
     def test_aligned_always_opposite(self):
@@ -92,6 +130,18 @@ class TestSampling:
         log1 = sample_eprb(Z, X, 50, seed=4)
         log2 = sample_eprb(Z, X, 50, seed=4)
         assert np.array_equal(log1.xs, log2.xs) and np.array_equal(log1.ys, log2.ys)
+
+    def test_counts_sampler_at_a_dot_product_past_one(self):
+        counts = sample_eprb_counts(PAST_ONE, PAST_ONE, 1000, 1)
+        assert counts.counts[(1, 1)] == counts.counts[(-1, -1)] == 0 and counts.total == 1000
+
+    @PROPERTY
+    @given(orientation_pairs(), SIGNS, st.integers(1, 3000), st.integers(0, 2**64 - 1))
+    def test_matches_searchsorted_bitwise(self, pair, sign, n, seed):
+        log = sample_eprb(*pair, n, seed, correlation_sign=sign)
+        xs, ys = _searchsorted_pairs(*pair, n, seed, sign)
+        assert log.xs.dtype == log.ys.dtype == np.int8
+        assert log.xs.tobytes() == xs.tobytes() and log.ys.tobytes() == ys.tobytes()
 
     def test_counts_sampler_matches_model(self):
         a2 = UnitVector3.from_polar(1.0)

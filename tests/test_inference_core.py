@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from li_qt.errors import DegenerateProbability, MismatchedDimensions
 from li_qt.inference_core import (
+    PAIR_SPACE,
     CountTable,
     DichotomicModel,
     evidence,
@@ -229,3 +232,16 @@ class TestModelConstructors:
         table = CountTable.dichotomic(7, 3)
         assert list(table.as_vector()) == [7, 3]
         assert table.total == 10
+
+
+class TestPairCounts:
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.one_of(st.sampled_from([1, -1]), st.integers(-128, 127))] * 2),
+                    max_size=300))
+    def test_matches_masked_sums(self, pairs):
+        """Values outside +-1 count in no cell, as with the masked sums it replaced."""
+        xs = np.array([x for x, _ in pairs], dtype=np.int8)
+        ys = np.array([y for _, y in pairs], dtype=np.int8)
+        table = CountTable.from_pairs(xs, ys)
+        masked = {(x, y): int(np.sum((xs == x) & (ys == y))) for (x, y) in PAIR_SPACE}
+        assert table.counts == masked and all(type(k) is int for k in table.counts.values())

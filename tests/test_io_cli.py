@@ -1020,20 +1020,23 @@ def _potential_file(text: str):
     return make_argv
 
 
-def _sg_log_without_m(tmp: Path) -> list[str]:
+def _sg_run(tmp: Path) -> Path:
+    """A one-angle ``sg run`` into a subdirectory, since ``--out`` may not be the working one."""
     assert run_command(["sg", "run", "--theta", "0.5", "--n", "100", "--seed", "1",
-                        "--out", str(tmp)]) == 0
-    _drop_sidecar_field(tmp / "sg_000.csv", "m")
-    return ["sg", "fit", str(tmp)]
+                        "--out", str(run := tmp / "run")]) == 0
+    return run
+
+
+def _sg_log_without_m(tmp: Path) -> list[str]:
+    _drop_sidecar_field((run := _sg_run(tmp)) / "sg_000.csv", "m")
+    return ["sg", "fit", str(run)]
 
 
 def _sg_log_with(key: str, value):
     def make_argv(tmp: Path) -> list[str]:
-        assert run_command(["sg", "run", "--theta", "0.5", "--n", "100", "--seed", "1",
-                            "--out", str(tmp)]) == 0
-        sidecar = tmp / "sg_000.json"
+        sidecar = (run := _sg_run(tmp)) / "sg_000.json"
         sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), key: value}))
-        return ["sg", "fit", str(tmp)]
+        return ["sg", "fit", str(run)]
 
     return make_argv
 
@@ -1050,12 +1053,10 @@ def _evolve_with(flag: str, value: str):
 def _edited_manifest(edit):
     """``report --verify`` of an ``sg run`` whose manifest ``edit`` changed in place."""
     def make_argv(tmp: Path) -> list[str]:
-        assert run_command(["sg", "run", "--theta", "0.5", "--n", "100", "--seed", "1",
-                            "--out", str(tmp)]) == 0
-        manifest = json.loads((tmp / "manifest.json").read_text())
+        manifest = json.loads(((run := _sg_run(tmp)) / "manifest.json").read_text())
         edit(manifest)
-        (tmp / "manifest.json").write_text(json.dumps(manifest))
-        return ["report", str(tmp), "--verify"]
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        return ["report", str(run), "--verify"]
 
     return make_argv
 
@@ -1143,9 +1144,9 @@ EXIT_CASES = {
                                 "wrong type for ['conditions']"),
     "sidecar_seed_list": (_sg_log_with("seed", [1]), 2, "wrong type for ['seed']"),
     "sidecar_kind_list": (_sg_log_with("kind", []), 2, "unknown log kind []"),
-    "grid_dt_nan": (lambda tmp: ["evolve", "--grid", "10,64,nan,5", "--out", str(tmp)],
+    "grid_dt_nan": (_fresh_out("evolve", "--grid", "10,64,nan,5"),
                     2, "time step dt must be finite and positive, got nan"),
-    "grid_L_inf": (lambda tmp: ["evolve", "--grid", "inf,64,0.001,5", "--out", str(tmp)],
+    "grid_L_inf": (_fresh_out("evolve", "--grid", "inf,64,0.001,5"),
                    2, "half-extent L must be finite and positive, got inf"),
     "grid_extent_overflows": (_fresh_out("evolve", "--grid", "1e308,16,0.001,5"), 2,
                               "half-extent L = 1e+308 overflows the extent 2 * L"),
@@ -1237,6 +1238,19 @@ class TestRunDirectory:
         assert _run_sg(out, 3) == 2
         assert "holds more than a li-qt run; left as it is" in capsys.readouterr().err
         assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("given", [".", "../run", "empty"])
+    def test_working_directory_refused_untouched(self, tmp_path, monkeypatch, capsys, given):
+        out = tmp_path / "run"
+        if given == "empty":
+            out.mkdir()
+        else:
+            assert _run_sg(out, 2) == 0
+        monkeypatch.chdir(out)
+        before = _tree(tmp_path)
+        assert _run_sg(Path("." if given == "empty" else given), 3) == 2
+        assert "is the working directory; left as it is" in capsys.readouterr().err
+        assert _tree(tmp_path) == before and Path.cwd() == out  # not deleted under the caller
 
     def test_failed_rerun_keeps_the_earlier_run(self, tmp_path, capsys):
         out = tmp_path / "run"

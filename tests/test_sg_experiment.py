@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_rotation
+from conftest import orientation_pairs, random_rotation
 from li_qt.errors import EmptyLog, InsufficientData, NoSignal
 from li_qt.sg_experiment import (
     EventLog,
@@ -19,6 +19,15 @@ from li_qt.sg_experiment import (
 
 Z = UnitVector3(0.0, 0.0, 1.0)
 X = UnitVector3(1.0, 0.0, 0.0)
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+
+def _where_outcomes(a, m, n, seed, sign):
+    """Outcomes as ``sample_sg`` drew them with ``np.where``, before it compared and
+    converted in int8; kept here only as the reference for bitwise equality."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    uniforms = rng.random(n)
+    return np.where(uniforms < sg_probability(1, a, m, sign), 1, -1).astype(np.int8)
 
 
 class TestUnitVector:
@@ -66,6 +75,19 @@ class TestSgProbability:
             m_r = UnitVector3.from_array(rot @ m.as_array())
             assert sg_probability(1, a_r, m_r) == pytest.approx(base, abs=1e-12)
 
+    def test_never_negative_for_a_dot_product_past_one(self):
+        a = UnitVector3(0.36486176735685877, 0.9240647543268905, -0.11393077078653184)
+        assert a.dot(a) > 1.0
+        assert (sg_probability(1, a, a), sg_probability(-1, a, a)) == (1.0, 0.0)
+        assert a.cos_to(a) == 1.0 and a.angle_to(a) == 0.0
+
+    @PROPERTY
+    @given(orientation_pairs(), st.sampled_from([-1, 1]))
+    def test_probabilities_in_unit_interval_and_normalized(self, pair, sign):
+        p = [sg_probability(x, *pair, sign) for x in (1, -1)]
+        assert all(0 <= q <= 1 for q in p)
+        assert abs(sum(p) - 1.0) <= 1e-15
+
     def test_born_rule_pin(self):
         # Regression pin: the probability equals (1 + x a.m)/2 identically.
         rng = np.random.default_rng(3)
@@ -98,6 +120,14 @@ class TestSampling:
         seeds = derive_seeds(123, 4)
         assert seeds == derive_seeds(123, 4)
         assert len(set(seeds)) == 4
+
+    @PROPERTY
+    @given(orientation_pairs(), st.sampled_from([-1, 1]), st.integers(1, 3000),
+           st.integers(0, 2**64 - 1))
+    def test_matches_where_bitwise(self, pair, sign, n, seed):
+        outcomes = sample_sg(*pair, n, seed, sign).outcomes
+        assert outcomes.dtype == np.int8
+        assert outcomes.tobytes() == _where_outcomes(*pair, n, seed, sign).tobytes()
 
     def test_theta_invariant(self):
         log = sample_sg(UnitVector3.from_polar(1.1), Z, 10, seed=1)
