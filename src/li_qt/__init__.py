@@ -14,38 +14,3 @@ Subpackages by concern:
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    BoundaryContact,
-    CorruptData,
-    DegenerateProbability,
-    EmptyLog,
-    InsufficientData,
-    InsufficientDesign,
-    MismatchedDimensions,
-    NonSeparable,
-    NoSignal,
-    NotHermitian,
-    NotPure,
-    PhaseUndefined,
-    SchemaMismatch,
-    UnstableStep,
-)
-
-__all__ = [
-    "__version__",
-    "BoundaryContact",
-    "CorruptData",
-    "DegenerateProbability",
-    "EmptyLog",
-    "InsufficientData",
-    "InsufficientDesign",
-    "MismatchedDimensions",
-    "NonSeparable",
-    "NoSignal",
-    "NotHermitian",
-    "NotPure",
-    "PhaseUndefined",
-    "SchemaMismatch",
-    "UnstableStep",
-]

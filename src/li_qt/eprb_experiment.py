@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import EmptyLog
 from .inference_core import PAIR_SPACE, CountTable, ExperimentConditions
-from .sg_experiment import UnitVector3
+from .sg_experiment import UnitVector3, pm_one_int8
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,9 @@ class PairEventLog:
     conditions: ExperimentConditions = field(default_factory=ExperimentConditions)
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=np.int8)
-        ys = np.asarray(self.ys, dtype=np.int8)
+        xs, ys = pm_one_int8(self.xs), pm_one_int8(self.ys)
         if xs.shape != ys.shape or xs.ndim != 1:
             raise ValueError("xs and ys must be equal-length flat sequences")
-        for arr in (xs, ys):
-            if arr.size and not np.all(np.abs(arr) == 1):
-                raise ValueError("outcomes must be +1 or -1")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 

@@ -527,13 +527,18 @@ def _cmd_sg_run(args, out: Path) -> list[Path]:
     return outputs
 
 
+def _log_sidecars(logdir: Path, kind: str) -> list[Path]:
+    """The ``{kind}_*.json`` log sidecars under ``logdir`` in name order; none is an error."""
+    sidecars = sorted(logdir.glob(f"{kind}_*.json"))
+    if not sidecars:
+        raise FileNotFoundError(f"no {kind}_*.json logs under {logdir}")
+    return sidecars
+
+
 def _cmd_sg_fit(args) -> int:
     logdir = Path(args.logdir)
-    sidecars = sorted(logdir.glob("sg_*.json"))
-    if not sidecars:
-        raise FileNotFoundError(f"no sg_*.json logs under {logdir}")
     thetas, e_hats, stderrs = [], [], []
-    for sidecar in sidecars:
+    for sidecar in _log_sidecars(logdir, "sg"):
         log = load_events(sidecar)
         e_hat, stderr = sg_experiment.estimate_expectation(log)
         thetas.append(log.theta)
@@ -580,10 +585,7 @@ def _cmd_eprb_run(args, out: Path) -> list[Path]:
 def _iter_pair_logs(args) -> list[PairEventLog]:
     source = Path(args.source)
     if source.is_dir():
-        sidecars = sorted(source.glob("eprb_*.json"))
-        if not sidecars:
-            raise FileNotFoundError(f"no eprb_*.json logs under {source}")
-        return [load_events(p) for p in sidecars]
+        return [load_events(p) for p in _log_sidecars(source, "eprb")]
     if args.a1 is None or args.a2 is None:
         raise ConfigError("external CSV input needs --a1 and --a2")
     return [load_external_pair_csv(source, _parse_vector(args.a1), _parse_vector(args.a2))]

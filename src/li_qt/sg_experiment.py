@@ -78,6 +78,17 @@ class UnitVector3:
         return math.acos(self.cos_to(other))
 
 
+def pm_one_int8(values) -> np.ndarray:
+    """``values`` as int8, each checked to be +1 or -1 first (narrowing wraps 255 to -1).
+
+    An int8 array passes through uncopied.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" or not (np.abs(arr) == 1).all():
+        raise ValueError("outcomes must be +1 or -1")
+    return arr.astype(np.int8, copy=False)
+
+
 @dataclass(frozen=True)
 class EventLog:
     """Time series of dichotomic outcomes plus the generating configuration."""
@@ -89,11 +100,9 @@ class EventLog:
     conditions: ExperimentConditions = field(default_factory=ExperimentConditions)
 
     def __post_init__(self):
-        arr = np.asarray(self.outcomes, dtype=np.int8)
+        arr = pm_one_int8(self.outcomes)
         if arr.ndim != 1:
             raise ValueError("outcomes must be a flat sequence")
-        if arr.size and not np.all(np.abs(arr) == 1):
-            raise ValueError("outcomes must be +1 or -1")
         object.__setattr__(self, "outcomes", arr)
 
     @cached_property
@@ -187,8 +196,8 @@ def fit_robust_solution(
     eh = np.asarray(e_hats, dtype=float)
     if th.shape != eh.shape or th.ndim != 1:
         raise InsufficientData("thetas and e_hats must be equal-length 1-d sequences")
-    if not np.all(np.isfinite(th)):
-        raise InsufficientData("theta values must be finite")
+    if not (np.all(np.isfinite(th)) and np.all(np.isfinite(eh))):
+        raise InsufficientData("theta and e_hat values must be finite")
     if len(set(th.tolist())) < 8:  # not np.unique, which imports numpy.ma
         raise InsufficientData("need at least 8 distinct theta values")
     if th.max() - th.min() < math.pi - 1e-9:
@@ -196,10 +205,12 @@ def fit_robust_solution(
     if k_max < 1:
         raise InsufficientData("k_max must be at least 1")
 
+    tie_tol = 1e-12
     if stderrs is not None:
-        tie_tol = float(np.mean(np.asarray(stderrs, dtype=float)))
-    else:
-        tie_tol = 1e-12
+        se = np.asarray(stderrs, dtype=float)
+        if se.shape != th.shape or not np.all(se >= 0):  # NaN fails too
+            raise InsufficientData("stderrs must be one nonnegative number per theta")
+        tie_tol = float(np.mean(se))
 
     candidates = []
     for k in range(1, k_max + 1):
@@ -215,7 +226,6 @@ def fit_robust_solution(
             f"constant-model residual {const_resid:.3e}"
         )
 
-    for k, phi, resid in candidates:  # ascending K: smallest winner survives
-        if resid <= best_resid + tie_tol:
-            return RobustFit(k_winding=k, phi=phi, residual=resid, fisher=float(k * k))
-    raise AssertionError("unreachable: best candidate not re-found")
+    # Ascending K: the smallest winner survives; the best candidate itself qualifies.
+    k, phi, resid = next(c for c in candidates if c[2] <= best_resid + tie_tol)
+    return RobustFit(k_winding=k, phi=phi, residual=resid, fisher=float(k * k))

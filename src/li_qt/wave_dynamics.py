@@ -36,10 +36,12 @@ Numerical conventions
 * Single-slice fields are integrated with unit time weight (stationary
   checks); multi-slice fields use trapezoid weights spaced by the grid's dt.
 * Fields are (n_slices, n_x), or (stack, n_slices, n_x) for a stack of
-  independent histories: time is axis -2 and space axis -1.  F, Q and the
+  independent histories: time is axis -2 and space axis -1.  A wavefunction
+  is a complex array of that shape (1-d: one slice).  F, Q and the
   continuum Fisher term take a stack as they take one history and return one
   value per history, bitwise equal to separate calls; ``polar_to_wave`` maps
-  a stack to a stack.  The evolver and the Madelung check take one history.
+  a stack to a stack.  The evolver and the Madelung check take one history;
+  the latter's second difference is the Hamiltonian's 3-point operator.
 * The evolver uses Crank-Nicolson stepping with hard-wall (zero-Dirichlet)
   boundaries; it is unitary in exact arithmetic, so norm drift beyond
   tolerance diagnoses a genuinely unstable configuration.
@@ -155,20 +157,6 @@ class PolarField:
 
 
 @dataclass(frozen=True)
-class WaveField:
-    """Complex field psi on the grid, one row per time slice (3-d: a stack of histories)."""
-
-    psi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "psi", _promote(self.psi, complex))
-
-    @property
-    def n_slices(self) -> int:
-        return self.psi.shape[-2]
-
-
-@dataclass(frozen=True)
 class PhysicalParams:
     """Mass, coupling lam, and the static potential V(x) (energy units).
 
@@ -218,14 +206,6 @@ def _d_space(f: np.ndarray, dx: float, scheme: str) -> np.ndarray:
     raise ValueError(f"unknown x-derivative scheme {scheme!r}")
 
 
-def _d2_space_fd(f: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty_like(f)
-    out[:, 1:-1] = (f[:, 2:] - 2 * f[:, 1:-1] + f[:, :-2]) / dx**2
-    out[:, 0] = (2 * f[:, 0] - 5 * f[:, 1] + 4 * f[:, 2] - f[:, 3]) / dx**2
-    out[:, -1] = (2 * f[:, -1] - 5 * f[:, -2] + 4 * f[:, -3] - f[:, -4]) / dx**2
-    return out
-
-
 def _time_integral(per_slice: np.ndarray, dt: float) -> float | np.ndarray:
     """Trapezoid over time slices (axis -1), one slice at unit weight; a float per history."""
     total = (per_slice[..., 0] if per_slice.shape[-1] == 1
@@ -240,7 +220,7 @@ def _x_integral(fields: np.ndarray, dx: float) -> np.ndarray:
 def _check_normalized(P: np.ndarray, dx: float, tol: float, what: str) -> None:
     norms = _x_integral(P, dx)
     worst = float(np.max(np.abs(norms - 1.0)))
-    if worst > tol:
+    if not worst <= tol:  # a NaN norm fails too
         raise ValueError(f"{what} is not normalized: worst slice off by {worst:.3e}")
 
 
@@ -337,39 +317,36 @@ def functional_F(
     return _time_integral(_x_integral(integrand, grid.dx), grid.dt)
 
 
-def polar_to_wave(fields: PolarField, lam: float) -> WaveField:
+def polar_to_wave(fields: PolarField, lam: float) -> np.ndarray:
     """psi = sqrt(P) exp(i S sqrt(lam) / 2); no phase where P is floored."""
     phase = np.where(np.isfinite(fields.S), fields.S, 0.0) * (math.sqrt(lam) / 2)
-    return WaveField(np.sqrt(fields.P) * np.exp(1j * phase))
+    return np.sqrt(fields.P) * np.exp(1j * phase)
 
 
-def wave_to_polar(
-    psi: WaveField | np.ndarray,
-    lam: float,
-) -> PolarField:
+def wave_to_polar(psi: np.ndarray, lam: float) -> PolarField:
     """P = |psi|^2 and S = (2/sqrt(lam)) * phase, unwrapped along x.
 
     Unwrapping proceeds per time slice from the leftmost point whose density
     exceeds the floor; below-floor points get S = NaN.  Raises PhaseUndefined
     if an entire slice sits below the floor.
     """
-    wave = psi if isinstance(psi, WaveField) else WaveField(psi)
-    if wave.psi.ndim != 2:
+    psi = _promote(psi, complex)
+    if psi.ndim != 2:
         raise ValueError("wave_to_polar takes one history, not a stack")
-    P = np.abs(wave.psi) ** 2
+    P = np.abs(psi) ** 2
     S = np.full(P.shape, np.nan)
     scale = 2.0 / math.sqrt(lam)
     for tau in range(P.shape[0]):
         mask = P[tau] > PROBABILITY_FLOOR
         if not np.any(mask):
             raise PhaseUndefined(f"slice {tau} has no density above the floor")
-        raw = np.angle(wave.psi[tau, mask])
+        raw = np.angle(psi[tau, mask])
         S[tau, mask] = scale * np.unwrap(raw)
     return PolarField(P=P, S=S)
 
 
 def functional_Q(
-    psi: WaveField,
+    psi: np.ndarray,
     params: PhysicalParams,
     grid: SpatialGrid,
     x_scheme: str = "fd",
@@ -380,7 +357,7 @@ def functional_Q(
     The time term 2 i m sqrt(lam) (psi dpsi*/dt - psi* dpsi/dt) is evaluated
     through its (exactly real) imaginary part.
     """
-    arr = psi.psi
+    arr = _promote(psi, complex)
     _check_normalized(np.abs(arr) ** 2, grid.dx, norm_tol, "|psi|^2")
 
     # Named, so a stack rounds as one history does: numpy would multiply by a
@@ -428,7 +405,7 @@ def gaussian_packet(
     sigma0: float = 1.0,
     p0: float = 0.0,
     lam: float = 4.0,
-) -> WaveField:
+) -> np.ndarray:
     """Normalized Gaussian with density std sigma0 and mean momentum p0."""
     if not 0 < lam < math.inf:  # NaN fails too
         raise ValueError(f"lam must be finite and positive, got {lam}")
@@ -448,7 +425,7 @@ def gaussian_packet(
     if not (norm := np.trapezoid(np.abs(psi) ** 2, dx=grid.dx)) > 0:
         raise ValueError(f"a packet at x0 = {x0} of sigma0 = {sigma0} has no norm on the grid")
     psi /= math.sqrt(norm)
-    return WaveField(psi)
+    return psi
 
 
 def harmonic_potential(omega: float = 1.0, mass: float = 1.0) -> Callable[[np.ndarray], np.ndarray]:
@@ -477,7 +454,8 @@ def _tridiag_apply(p: np.ndarray, diag, off, out: np.ndarray | None = None,
                    tmp: np.ndarray | None = None) -> np.ndarray:
     """The symmetric tridiagonal product (diag on the diagonal, off beside it) times p.
 
-    With ``out`` and ``tmp`` (p's size) given, it allocates nothing.
+    It runs along p's first axis.  With ``out`` and ``tmp`` (p's size) given,
+    it allocates nothing.
     """
     out = np.multiply(diag, p, out=out)
     tmp = np.multiply(off, p, out=tmp)
@@ -529,7 +507,7 @@ def _tridiag_solver(off: np.ndarray, diag: np.ndarray):
 
 
 def evolve_tdse(
-    psi0: WaveField | np.ndarray,
+    psi0: np.ndarray,
     params: PhysicalParams,
     grid: SpatialGrid,
     store_every: int = 1,
@@ -552,10 +530,10 @@ def evolve_tdse(
     """
     if store_every < 1:
         raise ValueError(f"store_every (the snapshot stride) must be at least 1, got {store_every}")
-    wave = psi0 if isinstance(psi0, WaveField) else WaveField(psi0)
-    if wave.n_slices != 1:
+    psi = _promote(psi0, complex)
+    if psi.shape[:-1] != (1,):
         raise ValueError("psi0 must be a single slice")
-    psi = wave.psi[0].astype(complex).copy()
+    psi = psi[0].copy()
     if psi.size != grid.n_x:
         raise ValueError("psi0 length does not match the grid")
     psi[0] = psi[-1] = 0.0
@@ -572,9 +550,8 @@ def evolve_tdse(
         expectation = float(np.real(np.sum(np.conj(interior) * m_psi)) * dx)
         return (2.0 / math.sqrt(params.lam)) * expectation
 
+    _check_normalized(np.abs(psi) ** 2, dx, 1e-8, "psi0")
     n0 = norm_of(psi)
-    if not abs(n0 - 1.0) <= 1e-8:  # a NaN psi0 fails too
-        raise ValueError(f"psi0 must be normalized, got integral {n0:.10f}")
     if not (np.all(np.isfinite(main)) and math.isfinite(off)):
         raise UnstableStep("operator is non-finite")
     with np.errstate(over="ignore", invalid="ignore"):  # a huge dt overflows: checked below
@@ -732,7 +709,9 @@ def check_madelung_extremum(
     sqrtP = np.sqrt(np.maximum(P, 0.0))
     quantum_potential = np.where(
         sqrtP > 0,
-        -(hbar2 / (2 * params.mass)) * _d2_space_fd(sqrtP, grid.dx) / np.maximum(sqrtP, 1e-300),
+        # The Hamiltonian's 3-point second difference; interior_mask drops its end rows.
+        -(hbar2 / (2 * params.mass)) * _tridiag_apply(sqrtP.T, -2 / grid.dx**2, 1 / grid.dx**2).T
+        / np.maximum(sqrtP, 1e-300),
         0.0,
     )
     dSdt = _d_time(S_safe, slice_dt)

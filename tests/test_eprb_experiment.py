@@ -9,6 +9,7 @@ from conftest import orientation_pairs, random_rotation
 from li_qt.errors import EmptyLog
 from li_qt.eprb_experiment import (
     PAIR_SPACE,
+    PairEventLog,
     correlation_report,
     correlation_report_from_counts,
     eprb_probability,
@@ -112,6 +113,26 @@ class TestPairProbability:
         p = pair_probabilities(*pair, correlation_sign=sign)
         assert np.all((p >= 0) & (p <= 1))
         assert abs(p.sum() - 1.0) <= 1e-15
+
+
+class TestPairEventLog:
+    @pytest.mark.parametrize("bad", [
+        np.array([255, 1]),  # int8 would wrap 255 to -1
+        np.array([255, 1], dtype=np.uint8),
+        np.array([-257, 1]),
+        np.array([1.5, -1]),
+    ])
+    @pytest.mark.parametrize("side", ["xs", "ys"])
+    def test_non_pm_one_rejected_before_narrowing(self, bad, side):
+        good = np.array([1, -1], dtype=np.int8)
+        pairs = {"xs": good, "ys": good, side: bad}
+        with pytest.raises(ValueError, match=r"^outcomes must be \+1 or -1$"):
+            PairEventLog(a1=Z, a2=X, seed=0, **pairs)
+
+    def test_int8_outcomes_kept_uncopied(self):
+        xs, ys = np.array([1, -1], dtype=np.int8), np.array([-1, -1], dtype=np.int8)
+        log = PairEventLog(xs, ys, Z, X, seed=0)
+        assert log.xs is xs and log.ys is ys
 
 
 class TestSampling:

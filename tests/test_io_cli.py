@@ -868,6 +868,15 @@ class TestCli:
             "discrete Fisher fine bins: 0.999867; jointly shifted: 0.999867",
         ]
 
+    def test_check_madelung(self, capsys):
+        # Recorded when the quantum potential used its own second-difference stencil.
+        assert run_command(["check", "madelung"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "n_x=256 dt=0.002: continuity_rms=5.196e-06 quantum_hj_rms=8.335e-05",
+            "n_x=512 dt=0.001: continuity_rms=1.212e-06 quantum_hj_rms=2.851e-05",
+            "refinement ratios: continuity x4.29, quantum HJ x2.92 (2nd order: both in (2.5, 8))",
+        ]
+
     def test_evolve_overflowing_cn_matrix_exit_3(self, tmp_path):
         proc = _run_python(["-m", "li_qt", "evolve", "--grid", "10,64,1e308,3",
                             "--out", str(tmp_path)])

@@ -14,7 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "li_qt"
-ALLOWED = {"__all__"}
+ALLOWED = set()
 
 
 def _names(node: ast.AST, strings: bool = False) -> set[str]:

@@ -134,6 +134,30 @@ class TestSampling:
         assert log.theta == pytest.approx(1.1, abs=1e-12)
 
 
+class TestEventLog:
+    @pytest.mark.parametrize("outcomes", [
+        np.array([257, -257, 1]),  # int8 would wrap these to [1, -1, 1]
+        np.array([255, 1], dtype=np.uint8),
+        np.array([1.5, -1]),  # int8 would truncate 1.5 to 1
+        np.array([1.0, math.nan]),
+        np.array([1j, 1]),
+        np.array([0, 1]),
+        np.array([-128, 1], dtype=np.int8),
+    ])
+    def test_non_pm_one_rejected_before_narrowing(self, outcomes):
+        with pytest.raises(ValueError, match=r"^outcomes must be \+1 or -1$"):
+            EventLog(outcomes, Z, Z, seed=0)
+
+    def test_int8_outcomes_kept_uncopied(self):
+        outcomes = np.array([1, -1, -1], dtype=np.int8)
+        assert EventLog(outcomes, Z, Z, seed=0).outcomes is outcomes
+
+    @pytest.mark.parametrize("outcomes", [[1, -1], [1.0, -1.0], np.array([1, -1], dtype=np.int64)])
+    def test_other_pm_one_values_narrowed(self, outcomes):
+        narrowed = EventLog(outcomes, Z, Z, seed=0).outcomes
+        assert narrowed.dtype == np.int8 and narrowed.tolist() == [1, -1]
+
+
 class TestEstimate:
     def test_known_counts(self):
         log = EventLog(np.array([1] * 75 + [-1] * 25), Z, Z, seed=0)
@@ -213,6 +237,28 @@ class TestRobustFit:
         short = np.linspace(0, 2.0, 16)
         with pytest.raises(InsufficientData):
             fit_robust_solution(short, np.cos(short))
+
+    @pytest.mark.parametrize("stderrs", [
+        [math.nan] * 16,
+        [-1e-3] * 16,
+        [1e-3] * 15 + [math.nan],
+        [1e-3] * 15 + [-1e-3],
+        [1e-3] * 3,
+        [1e-3] * 17,
+    ])
+    def test_invalid_stderrs_rejected(self, stderrs):
+        with pytest.raises(InsufficientData, match="^stderrs must be one nonnegative number"):
+            fit_robust_solution(self.thetas, np.cos(self.thetas), stderrs=stderrs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_expectation(self, bad):
+        e_hats = np.append(np.cos(self.thetas[:-1]), bad)
+        with pytest.raises(InsufficientData, match="finite"):
+            fit_robust_solution(self.thetas, e_hats)
+
+    def test_zero_stderrs_keep_exact_winner(self):
+        fit = fit_robust_solution(self.thetas, np.cos(2 * self.thetas), stderrs=[0.0] * 16)
+        assert fit.k_winding == 2 and fit.phi == 0.0
 
     @settings(derandomize=True, database=None, max_examples=150, deadline=None)
     @given(st.data())

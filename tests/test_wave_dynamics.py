@@ -16,7 +16,6 @@ from li_qt.wave_dynamics import (
     PhysicalParams,
     PolarField,
     SpatialGrid,
-    WaveField,
     check_madelung_extremum,
     detector_edges,
     evolve_tdse,
@@ -35,6 +34,7 @@ from li_qt.wave_dynamics import (
     _d_time,
     _hamiltonian_diagonals,
     _hj_bracket,
+    _promote,
     _tridiag_solver,
 )
 
@@ -88,7 +88,7 @@ class TestGridAndFields:
         # dx = 0.25, so |p0| / hbar must stay below pi / dx = 12.566 (hbar = 2 / sqrt(lam)).
         grid = SpatialGrid(L=8.0, n_x=65, dt=0.1, n_t=1)
         if not aliases:
-            assert gaussian_packet(grid, p0=p0, lam=lam).psi.shape == (1, 65)
+            assert gaussian_packet(grid, p0=p0, lam=lam).shape == (65,)
             return
         with pytest.raises(ValueError, match="^" + re.escape(f"p0 = {p0} aliases on the grid")):
             gaussian_packet(grid, p0=p0, lam=lam)
@@ -310,14 +310,17 @@ class TestStackedHistories:
     def test_fields_report_slices_of_a_stack(self):
         zeros = np.zeros((3, 5, 32))
         assert PolarField(P=zeros + 1, S=zeros).n_slices == 5
-        assert WaveField(zeros.astype(complex)).n_slices == 5
-        assert WaveField(np.ones(32, dtype=complex)).n_slices == 1
+        assert _promote(zeros, complex).shape == (3, 5, 32)
+        assert _promote(np.ones(32), complex).shape == (1, 32)
+        assert _promote(np.ones(32), complex).dtype == complex
 
     def test_four_dimensional_fields_rejected(self):
         with pytest.raises(ValueError, match="3-d"):
             PolarField(P=np.ones((2, 3, 5, 32)), S=np.zeros((2, 3, 5, 32)))
         with pytest.raises(ValueError, match="3-d"):
-            WaveField(np.ones((2, 3, 5, 32), dtype=complex))
+            wave_to_polar(np.ones((2, 3, 5, 32), dtype=complex), lam=4.0)
+        with pytest.raises(ValueError, match="3-d"):
+            functional_Q(np.ones((2, 3, 5, 32), dtype=complex), FQ_PARAMS, FQ_GRID)
 
     def test_one_history_functions_reject_a_stack(self):
         fields = random_polar_fields(FQ_GRID, n_slices=8, seed=[1, 2])
@@ -335,19 +338,35 @@ class TestStackedHistories:
         assert ratios.shape == (len(seeds),) and np.all(ratios < 1e-8)
 
 
+NAN_GRID = SpatialGrid(L=8.0, n_x=64, dt=1e-3, n_t=4)
+NAN = np.full((3, NAN_GRID.n_x), np.nan)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fisher_continuum(PolarField(P=NAN, S=np.zeros_like(NAN)), NAN_GRID),
+    lambda: functional_F(PolarField(P=NAN, S=np.zeros_like(NAN)), PhysicalParams(), NAN_GRID),
+    lambda: functional_Q(NAN.astype(complex), PhysicalParams(), NAN_GRID),
+    lambda: evolve_tdse(NAN[0].astype(complex), PhysicalParams(), NAN_GRID),
+], ids=["fisher_continuum", "functional_F", "functional_Q", "evolve_tdse"])
+def test_nan_field_rejected(call):
+    # A NaN norm fails the normalization check, so none of them returns a number.
+    with pytest.raises(ValueError, match="is not normalized: worst slice off by nan$"):
+        call()
+
+
 class TestPolarWaveMaps:
     def test_uniform_real(self):
         grid = SpatialGrid(L=4.0, n_x=64, dt=1.0, n_t=1)
         P = np.full(grid.n_x, 1.0 / (2 * grid.L))
         wave = polar_to_wave(PolarField(P=P, S=np.zeros_like(P)), lam=4.0)
-        assert np.max(np.abs(wave.psi.imag)) == 0.0
-        assert np.all(wave.psi.real > 0)
+        assert np.max(np.abs(wave.imag)) == 0.0
+        assert np.all(wave.real > 0)
 
     def test_norm_preserved(self):
         grid = SpatialGrid(L=8.0, n_x=256, dt=1e-4, n_t=8)
         fields = random_polar_fields(grid, n_slices=3, seed=8)
         wave = polar_to_wave(fields, lam=4.0)
-        norm_psi = np.trapezoid(np.abs(wave.psi) ** 2, dx=grid.dx, axis=1)
+        norm_psi = np.trapezoid(np.abs(wave) ** 2, dx=grid.dx, axis=1)
         norm_p = np.trapezoid(fields.P, dx=grid.dx, axis=1)
         assert norm_psi == pytest.approx(norm_p, abs=1e-14)
 
@@ -363,7 +382,7 @@ class TestPolarWaveMaps:
         k = 2 * math.pi / grid.L
         lam = 4.0
         psi = np.exp(1j * k * grid.x) / math.sqrt(2 * grid.L)
-        polar = wave_to_polar(WaveField(psi), lam=lam)
+        polar = wave_to_polar(psi, lam=lam)
         grad = np.gradient(polar.S[0], grid.dx)
         assert grad[2:-2] == pytest.approx(
             np.full(grid.n_x - 4, 2 * k / math.sqrt(lam)), rel=1e-6
@@ -372,7 +391,7 @@ class TestPolarWaveMaps:
     def test_real_positive_gives_zero_phase(self):
         grid = SpatialGrid(L=8.0, n_x=128, dt=1.0, n_t=1)
         P = normalized_gaussian(grid, sigma=2.0)
-        polar = wave_to_polar(WaveField(np.sqrt(P).astype(complex)), lam=4.0)
+        polar = wave_to_polar(np.sqrt(P).astype(complex), lam=4.0)
         live = ~np.isnan(polar.S[0])
         assert np.max(np.abs(polar.S[0][live])) == 0.0
 
@@ -380,14 +399,14 @@ class TestPolarWaveMaps:
         grid = SpatialGrid(L=8.0, n_x=257, dt=1.0, n_t=1)
         psi = grid.x * np.exp(-grid.x**2)
         psi = psi / math.sqrt(np.trapezoid(np.abs(psi) ** 2, dx=grid.dx))
-        polar = wave_to_polar(WaveField(psi.astype(complex)), lam=4.0)
+        polar = wave_to_polar(psi.astype(complex), lam=4.0)
         center = grid.n_x // 2  # psi(0) = 0 exactly
         assert math.isnan(polar.S[0, center])
         assert np.isfinite(polar.S[0, center + 5])
 
     def test_empty_slice_raises(self):
         with pytest.raises(PhaseUndefined):
-            wave_to_polar(WaveField(np.zeros(32, dtype=complex)), lam=4.0)
+            wave_to_polar(np.zeros(32, dtype=complex), lam=4.0)
 
 
 class TestFunctionalQ:
@@ -396,7 +415,7 @@ class TestFunctionalQ:
         P = normalized_gaussian(grid, sigma=1.0)
         psi = np.tile(np.sqrt(P).astype(complex), (3, 1))
         params = PhysicalParams()
-        q = functional_Q(WaveField(psi), params, grid)
+        q = functional_Q(psi, params, grid)
         dpsi = np.gradient(np.sqrt(P), grid.dx)
         expected_slice = 4 * np.trapezoid(dpsi**2, dx=grid.dx)
         expected = expected_slice * (2 * grid.dt)  # trapezoid over 3 slices
@@ -407,7 +426,7 @@ class TestFunctionalQ:
         params = PhysicalParams(potential=harmonic_potential())
         traj = evolve_tdse(gaussian_packet(grid, x0=0.5), params, grid, store_every=1)
         psi = traj.psi
-        q0 = functional_Q(WaveField(psi), params, grid, norm_tol=1e-3)
+        q0 = functional_Q(psi, params, grid, norm_tol=1e-3)
 
         rng = np.random.default_rng(23)
         n_slices, n_x = psi.shape
@@ -428,7 +447,7 @@ class TestFunctionalQ:
                 )
             )
             dpsi *= 1e-4 / norm
-            q1 = functional_Q(WaveField(psi + dpsi), params, grid, norm_tol=1e-3)
+            q1 = functional_Q(psi + dpsi, params, grid, norm_tol=1e-3)
             assert abs(q1 - q0) < 1e-6
 
 
@@ -504,10 +523,16 @@ class TestEvolver:
 
     def test_nan_initial_state_rejected(self):
         grid = SpatialGrid(L=6.0, n_x=128, dt=1e-3, n_t=10)
-        psi0 = gaussian_packet(grid).psi[0].copy()
+        psi0 = gaussian_packet(grid)
         psi0[40] = np.nan
         with pytest.raises(ValueError, match="normalized"):
             evolve_tdse(psi0, PhysicalParams(), grid)
+
+    @pytest.mark.parametrize("shape", [(2, 64), (1, 1, 64)])
+    def test_psi0_of_more_than_one_slice_rejected(self, shape):
+        grid = SpatialGrid(L=6.0, n_x=64, dt=1e-3, n_t=3)
+        with pytest.raises(ValueError, match="^psi0 must be a single slice$"):
+            evolve_tdse(np.ones(shape), PhysicalParams(), grid)
 
     def test_norm_drift_covers_unstored_steps(self):
         # 23 steps with stride 10 store t = 0, 10, 20 only; the drift
@@ -586,7 +611,7 @@ def _banded_reference(psi0, params, grid, store_every):
         expectation = float(np.real(np.sum(np.conj(interior) * m_psi)) * dx)
         return (2.0 / math.sqrt(params.lam)) * expectation
 
-    psi = psi0.psi[0].copy()
+    psi = psi0.copy()
     psi[0] = psi[-1] = 0.0
     stored = [psi.copy()]
     for step in range(grid.n_t):
