@@ -702,10 +702,11 @@ def _cmd_evolve(args, out: Path) -> list[Path]:
     traj = wave_dynamics.evolve_tdse(
         psi0, params, grid, store_every=args.stride, check_boundary=not args.allow_boundary
     )
-    polar = traj.polar()
+    x = grid.x
     outputs = [out / f"snap_{k:06d}.csv" for k in range(len(traj.psi))]
     for k, (path, psi) in enumerate(zip(outputs, traj.psi)):
-        _write_table(path, "snapshot", [grid.x, psi.real, psi.imag, polar.P[k], polar.S[k]])
+        polar = traj.polar(k)  # one slice at a time: the history's (P, S) is never held
+        _write_table(path, "snapshot", [x, psi.real, psi.imag, polar.P[0], polar.S[0]])
     print(
         f"stored {traj.psi.shape[0]} snapshots; final norm drift {traj.norm_drift:.2e}; "
         f"max norm drift {traj.max_norm_drift:.2e}; energy drift "
@@ -991,6 +992,8 @@ def run_command(argv: list[str]) -> int:
     try:
         argv = _expand_config(list(argv))
         args = build_parser(argv).parse_args(argv)
+        if [] in vars(args).values():  # Python 3.11's argparse parses "--n=--" as [], not "--"
+            raise ConfigError("no flag takes the value '--'")
         return _write_run(args) if args.func in _RUN_DIRS else args.func(args)
     except (OSError, ValueError) as exc:  # ConfigError, SchemaMismatch, CorruptData, EmptyLog, ...
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -44,7 +44,10 @@ Numerical conventions
   the latter's second difference is the Hamiltonian's 3-point operator.
 * The evolver uses Crank-Nicolson stepping with hard-wall (zero-Dirichlet)
   boundaries; it is unitary in exact arithmetic, so norm drift beyond
-  tolerance diagnoses a genuinely unstable configuration.
+  tolerance diagnoses a genuinely unstable configuration.  It keeps the
+  stored history in one array of 1 + n_t // store_every slices (16 n_x bytes
+  each), allocated before the first step: a history too large to allocate
+  fails at once with MemoryError (or numpy's "array is too big" ValueError).
 * lam is the only free parameter: evolving with (lam, dt, V) and with
   (lam/c^2, dt/c, c^2 V) produces identical trajectories.
 """
@@ -395,8 +398,10 @@ class TdseTrajectory:
     def slice_dt(self) -> float:
         return self.grid.dt * self.store_every
 
-    def polar(self) -> PolarField:
-        return wave_to_polar(self.psi, self.params.lam)
+    def polar(self, index: int | None = None) -> PolarField:
+        """(P, S) of the whole history, or of its slice ``psi[index]`` alone: one row,
+        bitwise equal to that row of the whole history's (P, S)."""
+        return wave_to_polar(self.psi if index is None else self.psi[index], self.params.lam)
 
 
 def gaussian_packet(
@@ -469,26 +474,29 @@ def _view(a: np.ndarray) -> ctypes.Array:
     return (ctypes.c_char * a.nbytes).from_buffer(a)
 
 
-def _tridiag_solver(off: np.ndarray, diag: np.ndarray):
+def _tridiag_solver(off: np.ndarray, diag: np.ndarray, rows: np.ndarray):
     """Factor the tridiagonal matrix (diag; off on both sides of it) with zgttrf.
 
-    Returns ``(rhs, solve, info)``: ``info`` is zgttrf's, and ``solve()``
-    overwrites the buffer ``rhs`` with the solution for the right-hand side
-    it holds (zgttrs) and returns zgttrs' info.
+    ``rows`` is a 2-d complex array whose rows are each contiguous and of the
+    diagonal's length.  Returns ``(solve, info)``: ``info`` is zgttrf's, and
+    ``solve(k)`` overwrites ``rows[k]`` with the solution for the right-hand
+    side it holds (zgttrs) and returns zgttrs' info.
     """
     if diag.ndim != 1 or np.shape(off) != (diag.size - 1,) or diag.size < 2:
         raise ValueError("need a diagonal of at least 2 entries and an off-diagonal one shorter")
-    rhs = np.empty(diag.size, dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] != diag.size or rows.dtype != complex:
+        raise ValueError("need complex right-hand-side rows of the diagonal's length")
     if _LAPACK is None:
         from scipy.linalg.lapack import zgttrf, zgttrs
 
         *lu, info = zgttrf(off, diag, off)
 
-        def solve() -> int:
-            rhs[:], info = zgttrs(*lu, rhs)
+        def solve(k: int) -> int:
+            x, info = zgttrs(*lu, rows[k], overwrite_b=True)
+            rows[k] = x  # a no-op where SciPy solved in place
             return info
 
-        return rhs, solve, info
+        return solve, info
     zgttrf, zgttrs = _LAPACK
     n, nrhs, info = ctypes.c_int64(diag.size), ctypes.c_int64(1), ctypes.c_int64()
     # dl, d, du (overwritten by the factors), du2, ipiv: fresh contiguous buffers.
@@ -496,14 +504,15 @@ def _tridiag_solver(off: np.ndarray, diag: np.ndarray):
     lu += [_view(np.empty(diag.size - 2, dtype=complex)),
            _view(np.empty(diag.size, dtype=np.int64))]
     zgttrf(ctypes.byref(n), *lu, ctypes.byref(info))
-    args = (ctypes.c_char_p(b"N"), ctypes.byref(n), ctypes.byref(nrhs), *lu, _view(rhs),
-            ctypes.byref(n), ctypes.byref(info), ctypes.c_size_t(1))
+    head = (ctypes.c_char_p(b"N"), ctypes.byref(n), ctypes.byref(nrhs), *lu)
+    tail = (ctypes.byref(n), ctypes.byref(info), ctypes.c_size_t(1))
+    args = [(*head, _view(row), *tail) for row in rows]  # one argument tuple per row
 
-    def solve() -> int:
-        zgttrs(*args)
+    def solve(k: int) -> int:
+        zgttrs(*args[k])
         return info.value
 
-    return rhs, solve, info.value
+    return solve, info.value
 
 
 def evolve_tdse(
@@ -537,6 +546,9 @@ def evolve_tdse(
     if psi.size != grid.n_x:
         raise ValueError("psi0 length does not match the grid")
     psi[0] = psi[-1] = 0.0
+    # The whole history, allocated first: one too large to hold fails before any step.
+    stored = np.empty((1 + grid.n_t // store_every, grid.n_x), dtype=complex)
+    stored[0] = psi
     dx, dt = grid.dx, grid.dt
     main, off = _hamiltonian_diagonals(grid, params)
 
@@ -559,26 +571,26 @@ def evolve_tdse(
     lhs_off, rhs_off = 0.5j * dt * off, -0.5j * dt * off
     if not (np.all(np.isfinite(lhs_diag)) and np.isfinite(lhs_off)):  # the RHS's magnitudes
         raise UnstableStep("Crank-Nicolson matrix is non-finite")
-    rhs, solve, info = _tridiag_solver(np.full(grid.n_x - 3, lhs_off), lhs_diag)
+    edge = min(5, grid.n_x // 4)
+    filled, max_drift, max_edge = 1, 0.0, 0.0
+    rows = np.zeros((_BLOCK, grid.n_x), dtype=complex)  # the wall columns stay 0
+    interiors = list(rows[:, 1:-1])  # views, made once
+    tmp = np.empty(grid.n_x - 2, dtype=complex)
+    solve, info = _tridiag_solver(np.full(grid.n_x - 3, lhs_off), lhs_diag, rows[:, 1:-1])
     if info != 0:
         raise UnstableStep(f"Crank-Nicolson matrix is singular (zgttrf info {info})")
 
-    edge = min(5, grid.n_x // 4)
-    stored = [psi.copy()]
-    max_drift = max_edge = 0.0
-    rows = np.zeros((_BLOCK, grid.n_x), dtype=complex)  # the wall columns stay 0
-    tmp = np.empty_like(rhs)
-
+    previous = psi[1:-1]
     for start in range(0, grid.n_t, _BLOCK):
         block = rows[:grid.n_t - start]
         with np.errstate(over="ignore", invalid="ignore"):  # steps past a failure are dropped
-            for k, row in enumerate(block):
-                _tridiag_apply(psi[1:-1], rhs_diag, rhs_off, out=rhs, tmp=tmp)
-                info = solve()
+            for k, interior in enumerate(interiors[:len(block)]):
+                # The right-hand side goes into the next row, where zgttrs solves in place.
+                _tridiag_apply(previous, rhs_diag, rhs_off, out=interior, tmp=tmp)
+                info = solve(k)
                 if info != 0:
                     raise UnstableStep(f"zgttrs info {info} at step {start + k + 1}")
-                row[1:-1] = rhs
-                psi = row
+                previous = interior
             density = np.abs(block) ** 2
             norms = np.trapezoid(density, dx=dx, axis=1)
             drifts = np.abs(norms - n0)
@@ -597,10 +609,12 @@ def evolve_tdse(
                 f"at step {start + k + 1}"
             )
         max_drift, max_edge = max(max_drift, drifts.max()), max(max_edge, walls.max())
-        stored += [row.copy() for row in block[(-start - 1) % store_every::store_every]]
+        picked = block[(-start - 1) % store_every::store_every]
+        stored[filled:filled + len(picked)] = picked
+        filled += len(picked)
 
     return TdseTrajectory(
-        psi=np.array(stored),
+        psi=stored,
         norms=np.array([norm_of(p) for p in stored]),
         energies=np.array([energy_of(p) for p in stored]),
         grid=grid,

@@ -1,7 +1,9 @@
 import argparse
 import ast
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
@@ -860,6 +862,19 @@ class TestCli:
         assert f"final norm drift {drifts[-1]:.2e}; max norm drift {drifts.max():.2e};" in summary
         assert summary.rstrip().endswith(f"; max wall mass {every.max_edge_mass:.2e}")
 
+    def test_evolve_memory_holds_the_history_once(self, tmp_path):
+        trajectory = 401 * 256 * 16  # bytes of the stored history: 1.57 MiB
+        tracemalloc.start()
+        try:
+            code = run_command(["evolve", "--grid", "10,256,0.001,400", "--stride", "1",
+                                "--out", str(tmp_path / "ev")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # 2.16 MiB; 4.14 MiB with row copies, their stack and the whole history's (P, S).
+        assert peak < 1.25 * trajectory + 2**20
+
     def test_check_fisher(self, capsys):
         # Recorded when the normal CDF came from scipy.stats.norm.cdf.
         assert run_command(["check", "fisher"]) == 0
@@ -1109,6 +1124,12 @@ EXIT_CASES = {
         {"../sg_000.csv": "0" * 64})), 2, "outputs ['../sg_000.csv'] are not file names"),
     "stride_zero": (lambda tmp: ["evolve", "--grid", "10,64,0.001,10", "--stride", "0"],
                     2, "stride"),
+    **{f"{cmd.replace(' ', '_')}_{flag[2:]}_double_dash": (
+        _fresh_out(*cmd.split(), f"{flag}=--"), 2, "ConfigError: no flag takes the value '--'")
+       for cmd, flag in (("evolve", "--lambda"), ("evolve", "--grid"), ("sg run", "--n"))},
+    "stored_history_past_memory": (
+        _fresh_out("evolve", "--grid", "10,64,0.001,10000000000000", "--stride", "1"),
+        2, "input error: MemoryError: evolve: "),  # 9.09 PiB, refused before any step
     "sidecar_missing_field": (_sg_log_without_m, 2, "lacks ['m']"),
     "unknown_config_key": (_unknown_config_key, 2, "bogus_knob"),
     "trials_zero": (lambda tmp: ["check", "fq", "--trials", "0"], 2, "--trials"),
@@ -1204,6 +1225,107 @@ def test_exit_codes(tmp_path, monkeypatch, capsys, case):
         assert not out.exists()
     if out is not None:  # nor a temporary one beside it
         assert list(out.parent.glob(f".{out.name}.*")) == []
+
+
+# Hostile values for ``evolve``'s flags: signed zeros, subnormals, the ends of the
+# float range, non-finite values, huge integers and words that are not numbers.
+_MALFORMED = ["", " ", "1.5", "1e", "0x10", "one", "1,5", "--"]
+_HOSTILE_FLOATS = st.one_of(
+    st.sampled_from(["0", "-0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1e-300",
+                     "-1e-300", "1e300", "-1e300", "1.7976931348623157e308", "1e400", "-1e400",
+                     "inf", "-inf", "nan", "-nan", "-1", str(10**30), str(-2**63), *_MALFORMED]),
+    st.floats().map(repr),
+)
+_HOSTILE_INTS = st.one_of(st.integers(-2, 15).map(str), st.sampled_from(_MALFORMED))
+_HUGE_INTS = st.sampled_from([10**17, 2**62, 2**63, 10**30, 10**100]).map(str)
+_FILE_POTENTIALS = [
+    '{"x": [-10, 10], "v": [0, 1]}', '{"x": [-10, 10], "v": [NaN, 0]}',
+    '{"x": [-10, 10], "v": [Infinity, 0]}', '{"x": [-10, 10], "v": [1e308, -1e308]}',
+    '{"x": [-1e300, 1e300], "v": [0, 1e300]}', '{"x": [0, 5e-324], "v": [-0.0, 5e-324]}',
+    '{"x": [-10, 10], "v": [0, 1%s]}' % ("0" * 400), '{"x": [1, 0], "v": [0, 1]}',
+    '{"x": [], "v": []}', "[]", "", "not json",
+]
+# A run that may pass, and a hostile value for each of its fields.
+_SANE = {
+    "L": st.floats(6, 16), "n_x": st.integers(16, 64), "dt": st.floats(1e-4, 1e-2),
+    "n_t": st.integers(1, 64), "--stride": st.integers(1, 80), "--x0": st.floats(-1, 1),
+    "--sigma0": st.floats(0.5, 1), "--p0": st.floats(-2, 2), "--lambda": st.floats(1, 8),
+    "--mass": st.floats(0.5, 2), "--potential": st.sampled_from(["free", "harmonic"]),
+}
+_HOSTILE = {
+    **dict.fromkeys(["L", "dt", "--x0", "--sigma0", "--p0", "--lambda", "--mass"],
+                    _HOSTILE_FLOATS),
+    "n_x": _HOSTILE_INTS,
+    "n_t": _HOSTILE_INTS,
+    "--stride": st.one_of(st.integers(-2, 0).map(str), _HUGE_INTS, st.sampled_from(_MALFORMED)),
+    "--potential": st.sampled_from(["file", "file:", "file:missing.json", "bogus", "FREE"]),
+    "grid": st.sampled_from(["extra field", "three fields", "reversed"]),
+}
+
+
+@st.composite
+def _evolve_argv(draw, past_memory: bool = False) -> tuple[list[str], str | None]:
+    """``evolve`` flags as ``--flag=value`` words, and the text of a potential file if any.
+
+    A sane run with up to two fields made hostile; n_x and n_t stay at most 64.  With
+    ``past_memory`` n_t is huge and the stride at most 64, so the history would take more
+    than 2**47 bytes, which no allocation can give, and one field at most is hostile.
+    """
+    values = {key: str(draw(strategy)) for key, strategy in _SANE.items()}
+    keys = sorted(_HOSTILE)
+    if past_memory:
+        values["n_t"], values["--stride"] = draw(_HUGE_INTS), str(draw(st.integers(1, 64)))
+        keys = [key for key in keys if key not in ("n_t", "--stride")]
+    count = draw(st.integers(0, 1 if past_memory else 2))
+    hostile = draw(st.lists(st.sampled_from(keys), min_size=count, max_size=count, unique=True))
+    values.update({key: draw(_HOSTILE[key]) for key in hostile})
+    fields = [values[key] for key in ("L", "n_x", "dt", "n_t")]
+    fields = {"extra field": [*fields, "1"], "three fields": fields[:3],
+              "reversed": fields[::-1]}.get(values.get("grid"), fields)
+    words = [f"--grid={','.join(fields)}", "--allow-boundary"][:1 + draw(st.booleans())]
+    words += [f"{flag}={values[flag]}" for flag in _SANE  # "file" is written by _run_evolve
+              if flag.startswith("--") and values[flag] != "file"]
+    text = draw(st.sampled_from(_FILE_POTENTIALS)) if values["--potential"] == "file" else None
+    return words, text
+
+
+def _run_evolve(tmp: Path, words: list[str], potential_text: str | None) -> int:
+    """Run ``evolve`` with ``words``; check what any exit must leave, and return the code."""
+    if potential_text is not None:
+        (tmp / "v.json").write_text(potential_text)
+        words = [*words, f"--potential=file:{tmp / 'v.json'}"]
+    out = tmp / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = run_command(["evolve", *words, "--out", str(out)])
+            except SystemExit as exc:  # argparse rejected a word
+                code = exc.code
+    err = stderr.getvalue()
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err and "Warning" not in err, err
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        assert "nan" not in stdout.getvalue().lower()
+        assert (out / "manifest.json").is_file()
+    else:
+        assert not out.exists()
+    assert list(tmp.glob(".out.*")) == []
+    return code
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_evolve_argv())
+def test_evolve_argv_fuzz(tmp_path_factory, drawn):
+    _run_evolve(tmp_path_factory.mktemp("evolve"), *drawn)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_evolve_argv(past_memory=True))
+def test_evolve_history_past_memory_fails_at_once(tmp_path_factory, drawn):
+    assert _run_evolve(tmp_path_factory.mktemp("evolve"), *drawn) == 2
 
 
 def _tree(root: Path) -> dict[str, bytes | None]:

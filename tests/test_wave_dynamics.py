@@ -715,6 +715,20 @@ class TestEvolverProperties:
 
     @CN_SETTINGS
     @given(CN_CASES)
+    def test_history_is_one_array_and_polar_slices_its_rows(self, case):
+        psi0, params, grid = _cn_problem(case)
+        traj = evolve_tdse(psi0, params, grid, store_every=case["store_every"],
+                           check_boundary=False)
+        assert traj.psi.shape == (1 + case["n_t"] // case["store_every"], case["n_x"])
+        assert traj.psi.flags.c_contiguous and traj.psi.flags.owndata
+        whole = traj.polar()
+        for k in range(len(traj.psi)):
+            one = traj.polar(k)
+            assert np.array_equal(one.P, whole.P[k:k + 1])
+            assert np.array_equal(one.S, whole.S[k:k + 1], equal_nan=True)  # NaN where P is floored
+
+    @CN_SETTINGS
+    @given(CN_CASES)
     def test_norm_conserved(self, case):
         psi0, params, grid = _cn_problem(case)
         traj = evolve_tdse(psi0, params, grid, store_every=case["store_every"],
@@ -797,7 +811,14 @@ class TestLapackBinding:
 
     def test_rejects_mismatched_sizes(self, lapack_binding):
         with pytest.raises(ValueError, match="one shorter"):
-            _tridiag_solver(np.zeros(14, dtype=complex), np.ones(14, dtype=complex))
+            _tridiag_solver(np.zeros(14, dtype=complex), np.ones(14, dtype=complex),
+                            np.zeros((1, 14), dtype=complex))
+
+    @pytest.mark.parametrize("rows", [np.zeros((2, 13), dtype=complex), np.zeros((2, 14)),
+                                      np.zeros(14, dtype=complex)])
+    def test_rejects_rows_zgttrs_would_overrun(self, lapack_binding, rows):
+        with pytest.raises(ValueError, match="rows of the diagonal's length"):
+            _tridiag_solver(np.zeros(13, dtype=complex), np.ones(14, dtype=complex), rows)
 
     def test_singular_cn_matrix_raises(self, lapack_binding, monkeypatch):
         grid = SpatialGrid(L=6.0, n_x=128, dt=1e-3, n_t=10)
