@@ -362,15 +362,18 @@ def save_pair_log(log: PairEventLog, base: Path) -> list[Path]:
     )
 
 
+def _log_files(base: Path) -> tuple[Path, Path]:
+    """The sidecar and the CSV of the log at ``base``: either file or their common stem."""
+    return (stem := Path(base).with_suffix("")).with_suffix(".json"), stem.with_suffix(".csv")
+
+
 def load_events(base: Path) -> EventLog | PairEventLog:
     """Load whatever log the sidecar at ``base`` describes.
 
     ``base`` may point at the CSV, the JSON, or the common stem.
     """
-    stem = Path(base).with_suffix("")
-    sidecar_path = stem.with_suffix(".json")
-    csv_path = stem.with_suffix(".csv")
-    for path in (sidecar_path, csv_path):
+    sidecar_path, csv_path = paths = _log_files(base)
+    for path in paths:
         if not path.exists():
             raise SchemaMismatch(f"missing file {path}")
     meta = _read_json(sidecar_path)
@@ -592,6 +595,15 @@ def _iter_pair_logs(args) -> list[PairEventLog]:
 
 
 def _cmd_eprb_report(args) -> int:
+    source, out = Path(args.source), None if args.out is None else Path(args.out)
+    if out is not None:  # refused if it is a file the report reads or its run directory lists
+        reads = {source} if not source.is_dir() else {
+            path for sidecar in source.glob("eprb_*.json") for path in _log_files(sidecar)}
+        if (source / "manifest.json").exists():
+            reads |= {source / n for n in ("manifest.json", *_read_manifest(source)["outputs"])}
+        if any(p.samefile(out) if p.exists() else os.path.realpath(p) == os.path.realpath(out)
+               for p in reads if p.exists() == out.exists()):  # a missing out is a missing input
+            raise ConfigError(f"--out {args.out} is an input of the report; left as it is")
     rows = []
     for log in _iter_pair_logs(args):
         rep = eprb_experiment.correlation_report(log)
@@ -601,8 +613,7 @@ def _cmd_eprb_report(args) -> int:
             f"x_mean={rep.x_mean:+.6f} y_mean={rep.y_mean:+.6f} "
             f"stderr_xy={rep.stderr_xy:.2e} n={rep.n}"
         )
-    if args.out is not None:
-        out = Path(args.out)
+    if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
         _write_table(out, "eprb_report", np.array(rows, dtype=float).T)
     return EXIT_OK

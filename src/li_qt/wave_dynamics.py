@@ -29,8 +29,8 @@ Numerical conventions
   stencils at the ends by default (``x_scheme="fd"``, ``np.gradient``); an
   FFT-based scheme (``x_scheme="spectral"``) is available for fields periodic
   over the box of length n_x * dx, where it is exact to roundoff for
-  band-limited fields.  Time derivatives are always the same finite
-  differences on the stored slices.
+  band-limited fields; real fields take real FFTs.  Time derivatives are always
+  ``np.gradient``'s stencil on the stored slices.  Q is evaluated in real arithmetic.
 * The potential V(x) is static: it is evaluated once on the grid and
   broadcast over the time slices.
 * Single-slice fields are integrated with unit time weight (stationary
@@ -187,18 +187,30 @@ def _d_time(f: np.ndarray, dt: float) -> np.ndarray:
     """Centered time derivative along axis -2, one-sided 2nd-order at the end slices.
 
     A single slice has zero derivative; two slices share their forward
-    difference.
+    difference.  Three or more take ``np.gradient``'s stencil, written out: the same bits.
     """
-    if f.shape[-2] == 1:
-        return np.zeros_like(f)
-    return np.gradient(f, dt, axis=-2, edge_order=min(2, f.shape[-2] - 1))
+    if f.shape[-2] < 3:
+        return np.zeros_like(f) if f.shape[-2] == 1 else np.gradient(f, dt, axis=-2, edge_order=1)
+    out = np.empty_like(f)
+    rows, f_rows = out.reshape(-1, f.shape[-1]), f.reshape(-1, f.shape[-1])
+    np.subtract(f_rows[2:], f_rows[:-2], out=rows[1:-1])  # every row; where it mixes two
+    rows[1:-1] /= 2.0 * dt  # histories of a stack, it is at end slices, overwritten below
+    g, o = np.moveaxis(f, -2, 0), np.moveaxis(out, -2, 0)  # slices first
+    o[0] = -1.5 / dt * g[0] + 2.0 / dt * g[1] - 0.5 / dt * g[2]
+    o[-1] = 0.5 / dt * g[-3] - 2.0 / dt * g[-2] + 1.5 / dt * g[-1]
+    return out
 
 
 def _d_space_spectral(f: np.ndarray, dx: float) -> np.ndarray:
     n = f.shape[-1]
-    k = 2 * np.pi * np.fft.fftfreq(n, d=dx)
-    df = np.fft.ifft(1j * k * np.fft.fft(f, axis=-1), axis=-1)
-    return df if np.iscomplexobj(f) else df.real
+    if np.iscomplexobj(f):
+        spectrum = np.fft.fft(f, axis=-1)
+        spectrum *= 2j * np.pi * np.fft.fftfreq(n, d=dx)
+        return np.fft.ifft(spectrum, axis=-1, out=spectrum)
+    spectrum = np.fft.rfft(f, axis=-1)
+    spectrum *= 2j * np.pi * np.fft.rfftfreq(n, d=dx)
+    spectrum[..., -1] *= n % 2  # even n: zero the Nyquist bin, whose i k c the complex .real drops
+    return np.fft.irfft(spectrum, n, axis=-1)
 
 
 def _d_space(f: np.ndarray, dx: float, scheme: str) -> np.ndarray:
@@ -217,7 +229,7 @@ def _time_integral(per_slice: np.ndarray, dt: float) -> float | np.ndarray:
 
 
 def _x_integral(fields: np.ndarray, dx: float) -> np.ndarray:
-    return np.trapezoid(fields, dx=dx, axis=-1)
+    return dx * (np.add.reduce(fields, -1) - (fields[..., 0] + fields[..., -1]) / 2)
 
 
 def _check_normalized(P: np.ndarray, dx: float, tol: float, what: str) -> None:
@@ -306,24 +318,24 @@ def functional_F(
     P, S = fields.P, fields.S
     _check_normalized(P, grid.dx, 1e-8, "P")
     live = P > PROBABILITY_FLOOR
-    if not np.all(np.isfinite(S[live])):
+    if not np.all((finite := np.isfinite(S))[live]):
         raise ValueError("S must be finite wherever P is above the floor")
-    S_safe = np.where(np.isfinite(S), S, 0.0)
+    S_safe = np.where(finite, S, 0.0)
 
-    dP = _d_space(P, grid.dx, x_scheme)
-    dSdx = _d_space(S_safe, grid.dx, x_scheme)
-    dSdt = _d_time(S_safe, grid.dt)
-
-    fisher_part = np.where(live, dP**2 / np.maximum(P, PROBABILITY_FLOOR), 0.0)
-    dynamic_part = 2 * params.mass * params.lam * _hj_bracket(dSdt, dSdx, params, grid.x) * P
-    integrand = fisher_part + np.where(live, dynamic_part, 0.0)
-    return _time_integral(_x_integral(integrand, grid.dx), grid.dt)
+    integrand = _hj_bracket(_d_time(S_safe, grid.dt), _d_space(S_safe, grid.dx, x_scheme),
+                            params, grid.x)
+    integrand *= 2 * params.mass * params.lam * P
+    integrand += _d_space(P, grid.dx, x_scheme) ** 2 / np.maximum(P, PROBABILITY_FLOOR)
+    return _time_integral(_x_integral(np.where(live, integrand, 0.0), grid.dx), grid.dt)
 
 
 def polar_to_wave(fields: PolarField, lam: float) -> np.ndarray:
     """psi = sqrt(P) exp(i S sqrt(lam) / 2); no phase where P is floored."""
     phase = np.where(np.isfinite(fields.S), fields.S, 0.0) * (math.sqrt(lam) / 2)
-    return np.sqrt(fields.P) * np.exp(1j * phase)
+    amplitude, psi = np.sqrt(fields.P), np.empty(fields.P.shape, dtype=complex)
+    np.multiply(amplitude, np.cos(phase), out=psi.real)
+    np.multiply(amplitude, np.sin(phase), out=psi.imag)
+    return psi
 
 
 def wave_to_polar(psi: np.ndarray, lam: float) -> PolarField:
@@ -357,24 +369,19 @@ def functional_Q(
 ) -> float | np.ndarray:
     """Quadrature of the quadratic functional Q over a wavefunction history.
 
-    The time term 2 i m sqrt(lam) (psi dpsi*/dt - psi* dpsi/dt) is evaluated
-    through its (exactly real) imaginary part.
+    Evaluated in real arithmetic: the time term 2 i m sqrt(lam) (psi dpsi*/dt -
+    psi* dpsi/dt) is 4 m sqrt(lam) (Re psi Im dpsi/dt - Im psi Re dpsi/dt).
     """
     arr = _promote(psi, complex)
-    _check_normalized(np.abs(arr) ** 2, grid.dx, norm_tol, "|psi|^2")
-
-    # Named, so a stack rounds as one history does: numpy would multiply by a
-    # temporary of 256 KB or more in place, rounding the complex product otherwise.
-    dpsi_dt_conj = np.conj(_d_time(arr, grid.dt))
-    z = arr * dpsi_dt_conj  # psi dpsi*/dt; the pair term is z - conj(z)
-    del dpsi_dt_conj  # freed before dpsi/dx is formed: a stack's peak memory stays lower
-    time_term = 2 * params.mass * math.sqrt(params.lam) * 1j * (z - np.conj(z))
-    dpsi_dx = _d_space(arr, grid.dx, x_scheme)
-    integrand = (
-        time_term.real
-        + 4 * np.abs(dpsi_dx) ** 2
-        + 2 * params.mass * params.lam * params.potential_on(grid.x) * np.abs(arr) ** 2
-    )
+    density = arr.real**2 + arr.imag**2
+    _check_normalized(density, grid.dx, norm_tol, "|psi|^2")
+    dpsi = _d_time(arr, grid.dt)
+    integrand = arr.real * dpsi.imag - arr.imag * dpsi.real
+    del dpsi  # each complex derivative is freed before the next one is made
+    integrand *= 4 * params.mass * math.sqrt(params.lam)
+    dpsi = _d_space(arr, grid.dx, x_scheme)
+    integrand += 4 * (dpsi.real**2 + dpsi.imag**2)
+    integrand += 2 * params.mass * params.lam * params.potential_on(grid.x) * density
     return _time_integral(_x_integral(integrand, grid.dx), grid.dt)
 
 
@@ -651,9 +658,11 @@ def random_polar_fields(
         amp = d[..., :2] * scale / k[:, None]
         spatial = amp[..., :1] * mode_c + amp[..., 1:] * mode_s
         temporal = 1.0 + 0.3 * np.sin(d[..., 2:3] * times + d[..., 3:])
-        # Added mode by mode onto zeros, in the order the draws were made, for the same bits.
-        return sum((temporal[..., j, :, None] * spatial[..., j, None, :] for j in range(k.size)),
-                   np.zeros((*np.shape(seed), n_slices, grid.n_x)))
+        total = temporal[..., 0, :, None] * spatial[..., 0, None, :]
+        scratch = np.empty_like(total)
+        for j in range(1, k.size):  # mode by mode in place, in the order the draws were made
+            total += np.multiply(temporal[..., j, :, None], spatial[..., j, None, :], out=scratch)
+        return total
 
     bump = trig_sum(draws[..., 0, :, :], 1.0)
     P = 1.0 + 0.5 * np.tanh(bump)  # bounded in [0.5, 1.5]: safely above floor

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -875,6 +876,31 @@ class TestCli:
         # 2.16 MiB; 4.14 MiB with row copies, their stack and the whole history's (P, S).
         assert peak < 1.25 * trajectory + 2**20
 
+    def test_check_fq_memory(self, capsys):
+        # One untraced call first: numpy's FFT plans and other first-call caches are not its cost.
+        assert run_command(["check", "fq", "--trials", "1"]) == 0
+        tracemalloc.start()
+        try:
+            code = run_command(["check", "fq", "--trials", "50"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # Stacks of 5 histories of 8 x 256 points: 80 KiB a real array, 160 KiB a complex one.
+        # 1,131 KiB with complex arithmetic in Q and np.gradient's temporaries.
+        assert peak <= 1000 * 1024
+
+    def test_eprb_report_out_never_overwrites_an_input(self, tmp_path, capsys):
+        assert run_command(["eprb", "run", "--theta-grid", "0:3.14:3", "--n", "50", "--seed", "1",
+                            "--out", str(run := tmp_path / "e")]) == 0
+        before = _tree(run)
+        assert run_command(["eprb", "report", str(run), "--out", str(run / "eprb_000.csv")]) == 2
+        assert "is an input of the report; left as it is" in capsys.readouterr().err
+        assert _tree(run) == before
+        assert run_command(["report", str(run), "--verify"]) == 0
+        assert run_command(["eprb", "report", str(run), "--out", str(run / "report.csv")]) == 0
+        assert run_command(["eprb", "report", str(run), "--out", str(run / "report.csv")]) == 0
+
     def test_check_fisher(self, capsys):
         # Recorded when the normal CDF came from scipy.stats.norm.cdf.
         assert run_command(["check", "fisher"]) == 0
@@ -1089,6 +1115,26 @@ def _run_with_theta_grid(command: str, spec: str):
     return lambda tmp: [command, "run", f"--theta-grid={spec}", "--out", str(tmp / "out")]
 
 
+def _eprb_report_onto(target: str):
+    """``eprb report`` of a three-angle run with ``--out`` naming ``target``, one of its inputs."""
+    def make_argv(tmp: Path) -> list[str]:
+        assert run_command(["eprb", "run", "--theta-grid", "0:3.14:3", "--n", "50", "--seed", "1",
+                            "--out", str(run := tmp / "e")]) == 0
+        if target == "external CSV":
+            return ["eprb", "report", str(run / "eprb_000.csv"), "--a1", "0,0,1", "--a2", "1,0,0",
+                    "--out", str(tmp / "e" / ".." / "e" / "eprb_000.csv")]
+        if target == "listed, missing":  # the manifest lists a log no longer there
+            for suffix in (".csv", ".json"):
+                (run / f"eprb_002{suffix}").unlink()
+            target_path = run / "eprb_002.csv"
+        else:
+            (tmp / "link").symlink_to(run / target)
+            target_path = tmp / "link"
+        return ["eprb", "report", str(run), "--out", str(target_path)]
+
+    return make_argv
+
+
 def _unknown_config_key(tmp: Path) -> list[str]:
     (tmp / "cfg.json").write_text('{"bogus_knob": 1}')
     return ["--config", str(tmp / "cfg.json"), "sg", "run", "--out", str(tmp)]
@@ -1201,6 +1247,10 @@ EXIT_CASES = {
     "sg_m_direction_two_fields": (
         lambda tmp: ["sg", "run", "--m-direction", "1,0", "--out", str(tmp / "out")],
         2, "expected three comma-separated components"),
+    **{f"eprb_report_out_is_{name.replace(' ', '_').replace(',', '')}": (
+        _eprb_report_onto(name), 2, "is an input of the report; left as it is")
+       for name in ("eprb_000.csv", "eprb_001.json", "manifest.json", "listed, missing",
+                    "external CSV")},
     "non_separable": (lambda tmp: ["separate", "sg", "--input",
                                    str(_sg_correlations(tmp / "corr.csv", power=2))],
                       3, "NonSeparable"),
@@ -1289,18 +1339,18 @@ def _evolve_argv(draw, past_memory: bool = False) -> tuple[list[str], str | None
     return words, text
 
 
-def _run_evolve(tmp: Path, words: list[str], potential_text: str | None) -> int:
-    """Run ``evolve`` with ``words``; check what any exit must leave, and return the code."""
-    if potential_text is not None:
-        (tmp / "v.json").write_text(potential_text)
-        words = [*words, f"--potential=file:{tmp / 'v.json'}"]
-    out = tmp / "out"
+def _run_fuzzed(argv: list[str]) -> int:
+    """Run ``argv``; check what any exit must leave, and return the code.
+
+    The code is 0, 2 or 3, stderr holds no traceback or warning, no warning is raised, and a
+    success prints no NaN.
+    """
     stdout, stderr = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
-                code = run_command(["evolve", *words, "--out", str(out)])
+                code = run_command(argv)
             except SystemExit as exc:  # argparse rejected a word
                 code = exc.code
     err = stderr.getvalue()
@@ -1309,6 +1359,17 @@ def _run_evolve(tmp: Path, words: list[str], potential_text: str | None) -> int:
     assert [str(w.message) for w in caught] == []
     if code == 0:
         assert "nan" not in stdout.getvalue().lower()
+    return code
+
+
+def _run_evolve(tmp: Path, words: list[str], potential_text: str | None) -> int:
+    """Run ``evolve`` with ``words``; check what any exit must leave, and return the code."""
+    if potential_text is not None:
+        (tmp / "v.json").write_text(potential_text)
+        words = [*words, f"--potential=file:{tmp / 'v.json'}"]
+    out = tmp / "out"
+    code = _run_fuzzed(["evolve", *words, "--out", str(out)])
+    if code == 0:
         assert (out / "manifest.json").is_file()
     else:
         assert not out.exists()
@@ -1326,6 +1387,55 @@ def test_evolve_argv_fuzz(tmp_path_factory, drawn):
 @given(_evolve_argv(past_memory=True))
 def test_evolve_history_past_memory_fails_at_once(tmp_path_factory, drawn):
     assert _run_evolve(tmp_path_factory.mktemp("evolve"), *drawn) == 2
+
+
+# ``check fq``: up to 10 trials, or a hostile count; any seed, or a hostile one.  Non-ASCII
+# digits are digits to int(): "٣" and "３" are 3, while "²" is no integer.
+_FQ_WORDS = ["0", "-0", "+0", "-1", str(-10**30), "1e300", "nan", "", " ", "--", "0x5", "2.0", "²"]
+_FQ_TRIALS = st.one_of(st.integers(1, 10).map(str),
+                       st.sampled_from(["٣", "３", "１０", *_FQ_WORDS]))
+_FQ_SEEDS = st.one_of(st.integers(0, 2**64).map(str),
+                      st.sampled_from([str(10**30), str(2**128), "٣", *_FQ_WORDS]))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(trials=_FQ_TRIALS, seed=_FQ_SEEDS, split=st.booleans())
+def test_check_fq_argv_fuzz(trials, seed, split):
+    flags = [f"--trials={trials}", f"--seed={seed}"]
+    if split and "" not in (trials, seed):  # "--trials 3" as two words
+        flags = [word for flag in flags for word in flag.split("=", 1)]
+    _run_fuzzed(["check", "fq", *flags])  # it reads and writes no file
+
+
+_EPRB_LOG = ["eprb", "run", "--theta-grid", "0:3.14:3", "--n", "50", "--seed", "1"]
+_REPORT_INPUTS = ["eprb_000.csv", "eprb_000.json", "eprb_001.csv", "eprb_001.json",
+                  "eprb_002.csv", "eprb_002.json", "manifest.json"]
+_REPORT_OUTS = ["report.csv", "new.csv", "eprb_report.csv", "eprb_003.csv", "sub/r.csv"]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(name=st.sampled_from(_REPORT_INPUTS + _REPORT_OUTS + ["ext.csv"]),
+       spelling=st.sampled_from(["plain", "dotted", "symlink", "hard link"]),
+       external=st.booleans())
+def test_eprb_report_out_fuzz(tmp_path_factory, name, spelling, external):
+    """``--out`` in the log directory, each input included: an input is refused untouched."""
+    tmp = tmp_path_factory.mktemp("report")
+    assert run_command([*_EPRB_LOG, "--out", str(run := tmp / "e")]) == 0
+    shutil.copyfile(run / "eprb_000.csv", run / "ext.csv")  # an index,x,y CSV without sidecar
+    target = run / name
+    inputs = ["ext.csv"] if external else _REPORT_INPUTS
+    if spelling in ("symlink", "hard link") and target.exists():
+        out = tmp / "alias.csv"
+        (out.symlink_to if spelling == "symlink" else out.hardlink_to)(target)
+    else:
+        out = run / ".." / "e" / "." / name if spelling == "dotted" else target
+    before = {p: (run / p).read_bytes() for p in inputs}
+    source = [str(run / "ext.csv"), "--a1", "0,0,1", "--a2", "1,0,0"] if external else [str(run)]
+    code = _run_fuzzed(["eprb", "report", *source, "--out", str(out)])
+    assert {p: (run / p).read_bytes() for p in inputs} == before
+    assert code == (2 if name in inputs else 0)
+    if code == 0:
+        assert out.read_bytes().startswith(b"theta,xy_mean,")
 
 
 def _tree(root: Path) -> dict[str, bytes | None]:

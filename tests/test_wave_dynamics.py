@@ -31,11 +31,13 @@ from li_qt.wave_dynamics import (
 )
 from li_qt.wave_dynamics import (
     _d_space,
+    _d_space_spectral,
     _d_time,
     _hamiltonian_diagonals,
     _hj_bracket,
     _promote,
     _tridiag_solver,
+    _x_integral,
 )
 
 
@@ -336,6 +338,108 @@ class TestStackedHistories:
         F, Q, fisher = _f_q_fisher(random_polar_fields(FQ_GRID, n_slices=8, seed=seeds))
         ratios = np.abs(F - Q) / (2 * fisher + np.abs(F - fisher) + np.abs(Q - fisher))
         assert ratios.shape == (len(seeds),) and np.all(ratios < 1e-8)
+
+
+# Reference copies of kernels as they were before they moved to real arithmetic.
+def _old_x_integral(fields, dx):
+    return np.trapezoid(fields, dx=dx, axis=-1)
+
+
+def _old_polar_to_wave(fields, lam):
+    phase = np.where(np.isfinite(fields.S), fields.S, 0.0) * (math.sqrt(lam) / 2)
+    return np.sqrt(fields.P) * np.exp(1j * phase)
+
+
+def _old_functional_Q(psi, params, grid, x_scheme):
+    arr = _promote(psi, complex)
+    n = arr.shape[-2]
+    dpsi_dt = np.zeros_like(arr) if n == 1 else np.gradient(arr, grid.dt, axis=-2,
+                                                            edge_order=min(2, n - 1))
+    dpsi_dt_conj = np.conj(dpsi_dt)
+    z = arr * dpsi_dt_conj
+    time_term = 2 * params.mass * math.sqrt(params.lam) * 1j * (z - np.conj(z))
+    if x_scheme == "fd":
+        dpsi_dx = np.gradient(arr, grid.dx, axis=-1, edge_order=2)
+    else:
+        k = 2 * np.pi * np.fft.fftfreq(grid.n_x, d=grid.dx)
+        dpsi_dx = np.fft.ifft(1j * k * np.fft.fft(arr, axis=-1), axis=-1)
+    integrand = (time_term.real + 4 * np.abs(dpsi_dx) ** 2
+                 + 2 * params.mass * params.lam * params.potential_on(grid.x) * np.abs(arr) ** 2)
+    per_slice = _old_x_integral(integrand, grid.dx)
+    return per_slice[..., 0] if per_slice.shape[-1] == 1 else np.trapezoid(per_slice, dx=grid.dt)
+
+
+KERNEL_SETTINGS = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+_SEEDS = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4)
+
+
+def _field(seed: int, shape: tuple[int, ...], complex_: bool) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    f[rng.random(shape) < 0.05] = -0.0
+    return f + 1j * rng.normal(size=shape) if complex_ else f
+
+
+class TestKernels:
+    """The derivative, quadrature and polar-map kernels against numpy and the earlier code."""
+
+    @KERNEL_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), slices=st.integers(1, 9),
+           stack=st.sampled_from([(), (1,), (3,)]), n_x=st.integers(1, 40),
+           complex_=st.booleans(), dt=st.floats(1e-6, 1e3))
+    def test_d_time_is_np_gradient_bitwise(self, seed, slices, stack, n_x, complex_, dt):
+        f = _field(seed, (*stack, slices, n_x), complex_)
+        got = _d_time(f, dt)
+        expected = (np.zeros_like(f) if slices == 1
+                    else np.gradient(f, dt, axis=-2, edge_order=min(2, slices - 1)))
+        assert got.dtype == f.dtype and got.shape == f.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @KERNEL_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(16, 300),
+           stack=st.sampled_from([(1,), (3,), (2, 3)]), dx=st.floats(1e-3, 10.0))
+    def test_d_space_spectral_real_path_matches_complex_path(self, seed, n_x, stack, dx):
+        f = _field(seed, (*stack, n_x), complex_=False)
+        got = _d_space_spectral(f, dx)
+        reference = _d_space_spectral(f.astype(complex), dx)
+        assert got.dtype == float and got.shape == f.shape
+        assert got.base is None or not np.iscomplexobj(got.base)  # not a view of a complex array
+        assert np.max(np.abs(got - reference.real)) <= 1e-12 * np.max(np.abs(reference.real))
+
+    def test_d_space_spectral_exact_on_a_band_limited_field(self):
+        for n_x in (64, 65):
+            grid = SpatialGrid(L=8.0, n_x=n_x, dt=1.0, n_t=1)
+            phase = 2 * np.pi * 3 * grid.x / (n_x * grid.dx)
+            expected = 2 * np.pi * 3 / (n_x * grid.dx) * np.cos(phase)
+            assert np.max(np.abs(_d_space_spectral(np.sin(phase), grid.dx) - expected)) < 1e-12
+
+    @KERNEL_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(2, 300),
+           stack=st.sampled_from([(), (1,), (4,), (2, 3)]), dx=st.floats(1e-3, 10.0))
+    def test_x_integral_matches_trapezoid(self, seed, n_x, stack, dx):
+        f = _field(seed, (*stack, n_x), complex_=False)
+        scale = _old_x_integral(np.abs(f), dx)  # no cancellation in the scale
+        assert np.all(np.abs(_x_integral(f, dx) - _old_x_integral(f, dx)) <= 1e-12 * scale)
+
+    @KERNEL_SETTINGS
+    @given(seeds=_SEEDS, lam=st.floats(0.1, 100.0), floored=st.booleans())
+    def test_polar_to_wave_matches_complex_exponential(self, seeds, lam, floored):
+        fields = random_polar_fields(FQ_GRID, n_slices=8, seed=seeds)
+        if floored:  # below-floor points carry no phase
+            fields = PolarField(P=np.where(fields.P > 0.9 * fields.P.max(), 0.0, fields.P),
+                                S=np.where(fields.P > 0.9 * fields.P.max(), np.nan, fields.S))
+        got, expected = polar_to_wave(fields, lam), _old_polar_to_wave(fields, lam)
+        assert got.dtype == complex and got.shape == fields.P.shape
+        assert np.allclose(got, expected, rtol=1e-12, atol=0)
+
+    @KERNEL_SETTINGS
+    @given(seeds=_SEEDS, x_scheme=st.sampled_from(["fd", "spectral"]), slices=st.integers(1, 8))
+    def test_functional_q_matches_complex_arithmetic(self, seeds, x_scheme, slices):
+        fields = random_polar_fields(FQ_GRID, n_slices=slices, seed=seeds)
+        psi = polar_to_wave(fields, FQ_PARAMS.lam)
+        got = functional_Q(psi, FQ_PARAMS, FQ_GRID, x_scheme=x_scheme)
+        expected = _old_functional_Q(psi, FQ_PARAMS, FQ_GRID, x_scheme)
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
 
 
 NAN_GRID = SpatialGrid(L=8.0, n_x=64, dt=1e-3, n_t=4)
