@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
@@ -287,7 +288,8 @@ def _read_table(path: Path, kind: str, first: int = 0) -> np.ndarray:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             try:
-                rows = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, skiprows=1)
+                rows = np.loadtxt(io.BytesIO(raw), delimiter=",", ndmin=2, comments=None,
+                                  skiprows=1)
             except ValueError as exc:
                 raise CorruptData(f"{path}: {exc}") from exc
         if rows.size == 0:
@@ -334,11 +336,9 @@ def _read_table(path: Path, kind: str, first: int = 0) -> np.ndarray:
 
 
 def _save(base: Path, kind: str, columns: list[np.ndarray], **meta) -> list[Path]:
-    csv_path = base.with_suffix(".csv")
+    sidecar_path, csv_path = _log_files(base)
     _write_table(csv_path, kind, columns)
-    sidecar = _write_json(
-        base.with_suffix(".json"), {"schema_version": SCHEMA_VERSION, "kind": kind, **meta}
-    )
+    sidecar = _write_json(sidecar_path, {"schema_version": SCHEMA_VERSION, "kind": kind, **meta})
     return [csv_path, sidecar]
 
 
@@ -363,8 +363,13 @@ def save_pair_log(log: PairEventLog, base: Path) -> list[Path]:
 
 
 def _log_files(base: Path) -> tuple[Path, Path]:
-    """The sidecar and the CSV of the log at ``base``: either file or their common stem."""
-    return (stem := Path(base).with_suffix("")).with_suffix(".json"), stem.with_suffix(".csv")
+    """The sidecar and the CSV of the log at ``base``: either file or their common stem.
+
+    Only a final ".csv" or ".json" is stripped: the stem "eprb_0.5" keeps its ".5".
+    """
+    base = Path(base)
+    name = base.stem if base.suffix in (".csv", ".json") else base.name
+    return base.with_name(name + ".json"), base.with_name(name + ".csv")
 
 
 def load_events(base: Path) -> EventLog | PairEventLog:
@@ -737,14 +742,12 @@ def _cmd_check_fq(args) -> int:
     for start in range(0, args.trials, _FQ_STACK):
         seeds = [args.seed + t for t in range(start, min(start + _FQ_STACK, args.trials))]
         fields = wave_dynamics.random_polar_fields(grid, n_slices=8, seed=seeds)
-        F = wave_dynamics.functional_F(fields, params, grid, x_scheme="spectral")
+        F = wave_dynamics.functional_F(fields, params, grid)
         Q = wave_dynamics.functional_Q(
-            wave_dynamics.polar_to_wave(fields, params.lam), params, grid,
-            x_scheme="spectral",
-        )
+            wave_dynamics.polar_to_wave(fields, params.lam), params, grid)
         # With F's Fisher term I_F, the scale 2 I_F + |F - I_F| + |Q - I_F| is
         # |F| + |Q| unless a dynamic part is negative, and never cancels.
-        fisher = wave_dynamics.fisher_continuum(fields, grid, x_scheme="spectral")
+        fisher = wave_dynamics.fisher_continuum(fields, grid)
         ratios = abs(F - Q) / (2 * fisher + abs(F - fisher) + abs(Q - fisher))
         worst = np.max(ratios, initial=worst)  # a NaN ratio propagates
     print(f"max relative |F - Q| over {args.trials} trials: {worst:.3e}")

@@ -25,12 +25,12 @@ Numerical conventions
 ---------------------
 * Probability floor 1e-12: grid points with P below it are masked out of any
   expression with P in a denominator, and carry no phase.
-* Space derivatives: 2nd-order centered differences with one-sided 2nd-order
-  stencils at the ends by default (``x_scheme="fd"``, ``np.gradient``); an
-  FFT-based scheme (``x_scheme="spectral"``) is available for fields periodic
-  over the box of length n_x * dx, where it is exact to roundoff for
-  band-limited fields; real fields take real FFTs.  Time derivatives are always
-  ``np.gradient``'s stencil on the stored slices.  Q is evaluated in real arithmetic.
+* Space derivatives: F, Q and the continuum Fisher term take FFT-based
+  derivatives, periodic over the box of length n_x * dx, where they are exact to
+  roundoff for band-limited fields; real fields take real FFTs.  The Madelung
+  residuals take ``np.gradient``'s 2nd-order centered differences with one-sided
+  2nd-order ends.  Time derivatives are always ``np.gradient``'s stencil on the
+  stored slices.  Q is evaluated in real arithmetic.
 * The potential V(x) is static: it is evaluated once on the grid and
   broadcast over the time slices.
 * Single-slice fields are integrated with unit time weight (stationary
@@ -213,14 +213,6 @@ def _d_space_spectral(f: np.ndarray, dx: float) -> np.ndarray:
     return np.fft.irfft(spectrum, n, axis=-1)
 
 
-def _d_space(f: np.ndarray, dx: float, scheme: str) -> np.ndarray:
-    if scheme == "fd":
-        return np.gradient(f, dx, axis=-1, edge_order=2)
-    if scheme == "spectral":
-        return _d_space_spectral(f, dx)
-    raise ValueError(f"unknown x-derivative scheme {scheme!r}")
-
-
 def _time_integral(per_slice: np.ndarray, dt: float) -> float | np.ndarray:
     """Trapezoid over time slices (axis -1), one slice at unit weight; a float per history."""
     total = (per_slice[..., 0] if per_slice.shape[-1] == 1
@@ -232,10 +224,10 @@ def _x_integral(fields: np.ndarray, dx: float) -> np.ndarray:
     return dx * (np.add.reduce(fields, -1) - (fields[..., 0] + fields[..., -1]) / 2)
 
 
-def _check_normalized(P: np.ndarray, dx: float, tol: float, what: str) -> None:
+def _check_normalized(P: np.ndarray, dx: float, what: str) -> None:
     norms = _x_integral(P, dx)
     worst = float(np.max(np.abs(norms - 1.0)))
-    if not worst <= tol:  # a NaN norm fails too
+    if not worst <= 1e-8:  # a NaN norm fails too
         raise ValueError(f"{what} is not normalized: worst slice off by {worst:.3e}")
 
 
@@ -285,15 +277,11 @@ def fisher_discrete(
     return total
 
 
-def fisher_continuum(
-    fields: PolarField,
-    grid: SpatialGrid,
-    x_scheme: str = "fd",
-) -> float | np.ndarray:
+def fisher_continuum(fields: PolarField, grid: SpatialGrid) -> float | np.ndarray:
     """Trapezoid quadrature of int dx dt (dP/dx)^2 / P, floor-masked."""
     P = fields.P
-    _check_normalized(P, grid.dx, 1e-8, "P")
-    dP = _d_space(P, grid.dx, x_scheme)
+    _check_normalized(P, grid.dx, "P")
+    dP = _d_space_spectral(P, grid.dx)
     integrand = np.where(P > PROBABILITY_FLOOR, dP**2 / np.maximum(P, PROBABILITY_FLOOR), 0.0)
     return _time_integral(_x_integral(integrand, grid.dx), grid.dt)
 
@@ -308,25 +296,20 @@ def _hj_bracket(dSdt: np.ndarray, dSdx: np.ndarray, params: PhysicalParams,
 
 # -- the nonlinear functional and its quadratic twin ------------------------------
 
-def functional_F(
-    fields: PolarField,
-    params: PhysicalParams,
-    grid: SpatialGrid,
-    x_scheme: str = "fd",
-) -> float | np.ndarray:
-    """Quadrature of the robust-experiment functional F over (P, S)."""
+def functional_F(fields: PolarField, params: PhysicalParams,
+                 grid: SpatialGrid) -> float | np.ndarray:
+    """Quadrature of the robust-experiment functional F over (P, S): I_F plus its dynamic term."""
+    fisher = fisher_continuum(fields, grid)  # checks the normalization first
     P, S = fields.P, fields.S
-    _check_normalized(P, grid.dx, 1e-8, "P")
     live = P > PROBABILITY_FLOOR
     if not np.all((finite := np.isfinite(S))[live]):
         raise ValueError("S must be finite wherever P is above the floor")
     S_safe = np.where(finite, S, 0.0)
 
-    integrand = _hj_bracket(_d_time(S_safe, grid.dt), _d_space(S_safe, grid.dx, x_scheme),
+    integrand = _hj_bracket(_d_time(S_safe, grid.dt), _d_space_spectral(S_safe, grid.dx),
                             params, grid.x)
     integrand *= 2 * params.mass * params.lam * P
-    integrand += _d_space(P, grid.dx, x_scheme) ** 2 / np.maximum(P, PROBABILITY_FLOOR)
-    return _time_integral(_x_integral(np.where(live, integrand, 0.0), grid.dx), grid.dt)
+    return fisher + _time_integral(_x_integral(np.where(live, integrand, 0.0), grid.dx), grid.dt)
 
 
 def polar_to_wave(fields: PolarField, lam: float) -> np.ndarray:
@@ -360,13 +343,8 @@ def wave_to_polar(psi: np.ndarray, lam: float) -> PolarField:
     return PolarField(P=P, S=S)
 
 
-def functional_Q(
-    psi: np.ndarray,
-    params: PhysicalParams,
-    grid: SpatialGrid,
-    x_scheme: str = "fd",
-    norm_tol: float = 1e-8,
-) -> float | np.ndarray:
+def functional_Q(psi: np.ndarray, params: PhysicalParams,
+                 grid: SpatialGrid) -> float | np.ndarray:
     """Quadrature of the quadratic functional Q over a wavefunction history.
 
     Evaluated in real arithmetic: the time term 2 i m sqrt(lam) (psi dpsi*/dt -
@@ -374,12 +352,12 @@ def functional_Q(
     """
     arr = _promote(psi, complex)
     density = arr.real**2 + arr.imag**2
-    _check_normalized(density, grid.dx, norm_tol, "|psi|^2")
+    _check_normalized(density, grid.dx, "|psi|^2")
     dpsi = _d_time(arr, grid.dt)
     integrand = arr.real * dpsi.imag - arr.imag * dpsi.real
     del dpsi  # each complex derivative is freed before the next one is made
     integrand *= 4 * params.mass * math.sqrt(params.lam)
-    dpsi = _d_space(arr, grid.dx, x_scheme)
+    dpsi = _d_space_spectral(arr, grid.dx)
     integrand += 4 * (dpsi.real**2 + dpsi.imag**2)
     integrand += 2 * params.mass * params.lam * params.potential_on(grid.x) * density
     return _time_integral(_x_integral(integrand, grid.dx), grid.dt)
@@ -569,7 +547,7 @@ def evolve_tdse(
         expectation = float(np.real(np.sum(np.conj(interior) * m_psi)) * dx)
         return (2.0 / math.sqrt(params.lam)) * expectation
 
-    _check_normalized(np.abs(psi) ** 2, dx, 1e-8, "psi0")
+    _check_normalized(np.abs(psi) ** 2, dx, "psi0")
     n0 = norm_of(psi)
     if not (np.all(np.isfinite(main)) and math.isfinite(off)):
         raise UnstableStep("operator is non-finite")
@@ -641,9 +619,9 @@ def random_polar_fields(
     """Random smooth normalized (P, S) pair for equivalence checks.
 
     Built from four low trigonometric modes periodic over the box of length
-    n_x * dx, so the spectral derivative scheme is exact on them; P is kept
-    well above the probability floor and normalized slice by slice.  A
-    sequence of seeds gives the stack of their fields, row i that of seed i.
+    n_x * dx, so the spectral derivatives of F, Q and I_F are exact on them;
+    P is kept well above the probability floor and normalized slice by slice.
+    A sequence of seeds gives the stack of their fields, row i that of seed i.
     """
     seeds = seed if np.ndim(seed) else [seed]
     k = np.arange(1, 5)  # the wavenumbers of the four modes
@@ -724,9 +702,9 @@ def check_madelung_extremum(
     S_safe = _align_slice_phases(np.where(np.isfinite(S), S, 0.0), P, branch)
 
     dPdt = _d_time(P, slice_dt)
-    dSdx = _d_space(S_safe, grid.dx, "fd")
+    dSdx = np.gradient(S_safe, grid.dx, axis=-1, edge_order=2)
     flux = P * dSdx / params.mass
-    continuity = dPdt + _d_space(flux, grid.dx, "fd")
+    continuity = dPdt + np.gradient(flux, grid.dx, axis=-1, edge_order=2)
 
     hbar2 = 4.0 / params.lam
     sqrtP = np.sqrt(np.maximum(P, 0.0))

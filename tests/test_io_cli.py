@@ -66,6 +66,16 @@ class TestLogPersistence:
         assert np.array_equal(loaded.xs, log.xs)
         assert np.array_equal(loaded.ys, log.ys)
 
+    def test_dotted_stem_round_trip(self, tmp_path):
+        # Only a final ".csv" or ".json" is stripped: "eprb_0.5" keeps its ".5".
+        log = sample_eprb(Z, X, 50, seed=5)
+        names = [path.name for path in save_pair_log(log, tmp_path / "eprb_0.5")]
+        assert names == sorted(path.name for path in tmp_path.iterdir())
+        assert names == ["eprb_0.5.csv", "eprb_0.5.json"]
+        for base in ("eprb_0.5", "eprb_0.5.csv", "eprb_0.5.json"):
+            loaded = load_events(tmp_path / base)
+            assert np.array_equal(loaded.xs, log.xs) and np.array_equal(loaded.ys, log.ys)
+
     def test_sidecar_count_mismatch(self, tmp_path):
         log = sample_sg(Z, Z, 100, seed=1)
         _, sidecar = save_event_log(log, tmp_path / "run")
@@ -610,6 +620,16 @@ class TestFloatTable:
         _write_table(path, "snapshot", list(cells.T))
         assert path.read_bytes() == _percent_g_table("snapshot", cells)
 
+    @pytest.mark.parametrize("rows", [b"0,2,4,6,8,10\r1,3,5,7,9,11\r\n",
+                                      b"0,2,4,6,8,10\r\n1,3,5,7,9,11\r"],
+                             ids=["between_rows", "last_row"])
+    def test_lone_cr_row_end_rejected(self, tmp_path, rows):
+        # Rows end in "\r\n" or "\n", as in event logs; a lone "\r" ends no row.
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"theta,xy_mean,x_mean,y_mean,stderr_xy,n\r\n" + rows)
+        with pytest.raises(CorruptData):
+            _read_table(path, "eprb_report")
+
 
 def _read_operator(path: Path) -> np.ndarray:
     """The matrix a ``rho.json`` holds, as ``[re, im]`` pairs row by row."""
@@ -905,7 +925,7 @@ class TestCli:
         # Recorded when the normal CDF came from scipy.stats.norm.cdf.
         assert run_command(["check", "fisher"]) == 0
         assert capsys.readouterr().out.splitlines() == [
-            "continuum Fisher of a unit Gaussian: 1.000000 (expect 1.0, off by 1.60e-07)",
+            "continuum Fisher of a unit Gaussian: 1.000000 (expect 1.0, off by 1.64e-11)",
             "discrete Fisher fine bins: 0.999867; jointly shifted: 0.999867",
         ]
 
@@ -1127,6 +1147,9 @@ def _eprb_report_onto(target: str):
             for suffix in (".csv", ".json"):
                 (run / f"eprb_002{suffix}").unlink()
             target_path = run / "eprb_002.csv"
+        elif target == "dotted log":  # the log "eprb_0.5" is read from "eprb_0.5.csv"
+            save_pair_log(sample_eprb(Z, X, 50, seed=5), run / "eprb_0.5")
+            target_path = run / "eprb_0.5.csv"
         else:
             (tmp / "link").symlink_to(run / target)
             target_path = tmp / "link"
@@ -1250,7 +1273,7 @@ EXIT_CASES = {
     **{f"eprb_report_out_is_{name.replace(' ', '_').replace(',', '')}": (
         _eprb_report_onto(name), 2, "is an input of the report; left as it is")
        for name in ("eprb_000.csv", "eprb_001.json", "manifest.json", "listed, missing",
-                    "external CSV")},
+                    "dotted log", "external CSV")},
     "non_separable": (lambda tmp: ["separate", "sg", "--input",
                                    str(_sg_correlations(tmp / "corr.csv", power=2))],
                       3, "NonSeparable"),
