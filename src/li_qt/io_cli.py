@@ -273,6 +273,11 @@ def _log_rows(first: int, columns: list[np.ndarray]) -> Iterator[bytes]:
         start = stop
 
 
+# An event log is read in slabs of whole rows cut at about _SLAB bytes, so that a read holds
+# the file and its cells, and per slab a byte mask and the slab's row offsets.
+_SLAB = 1 << 17
+
+
 def _read_table(path: Path, kind: str, first: int = 0) -> np.ndarray:
     """The data columns of the CSV table ``kind`` at ``path``, validated in bulk; an event
     log's indices count from ``first``, as ``_log_rows`` writes them."""
@@ -298,20 +303,36 @@ def _read_table(path: Path, kind: str, first: int = 0) -> np.ndarray:
             raise CorruptData(f"{path}: rows have {rows.shape[1]} columns, header {len(header)}")
         return rows
     buf = np.frombuffer(raw, np.uint8)
-    newlines = np.flatnonzero(buf == ord("\n")).astype(np.int32 if len(raw) < 2**31 else np.int64)
+    words = np.ndarray((len(raw) - 7,), "<i8", raw, 0, (1,))  # the 8 bytes from each byte on
+    slabs, row, start = [np.empty((len(header) - 1, 0), np.int8)], 0, head + 1
+    while start < len(raw):  # whole rows from ``start``: about _SLAB bytes, at least one row
+        stop = raw.rfind(b"\n", start, start + _SLAB) + 1 or raw.index(b"\n", start) + 1
+        newlines = np.flatnonzero(buf[start - 1:stop] == ord("\n"))
+        newlines += start - 1  # offsets in the file, intp: numpy would copy another index
+        slabs.append(_slab_cells(path, buf, words, newlines, len(header) - 1, first, row))
+        row += len(newlines) - 1
+        start = stop
+    return np.concatenate(slabs, axis=1).T
+
+
+def _slab_cells(path: Path, buf: np.ndarray, words: np.ndarray, newlines: np.ndarray, k: int,
+                first: int, row: int) -> np.ndarray:
+    """The ``k`` cell columns, as rows, of the log rows that end at ``newlines[1:]``, validated:
+    data rows ``row + 1``, ... of the file, whose indices count from ``first + row``."""
     ends = newlines[1:] - (buf[newlines[1:] - 1] == ord("\r"))  # newlines[1:] - 1 >= head
-    k, n = len(header) - 1, len(ends)
+    n = len(ends)
     ok = ends - newlines[:-1] > 2 * k + 1
     if not ok.all():  # checked before any gather that such a row could wrap around
-        raise CorruptData(f"{path}: data row {np.argmin(ok) + 1} is blank or too short")
+        raise CorruptData(f"{path}: data row {row + np.argmin(ok) + 1} is blank or too short")
     cells = np.empty((k, n), np.int8)
-    for j in reversed(range(k)):  # step back over ",1" or ",-1"
-        ok &= buf[ends - 1] == ord("1")
-        neg = (buf[ends - 2] == ord("-")).view(np.int8)
+    for j in reversed(range(k)):  # step back over ",1" or ",-1" to the cell's comma
+        ends -= 2  # the "-" or "," before the cell's "1"
+        ok &= buf[1:][ends] == ord("1")
+        neg = (buf[ends] == ord("-")).view(np.int8)
         cells[j] = 1 - 2 * neg
-        ends -= neg + 2
+        ends -= neg
         ok &= buf[ends] == ord(",")
-    words = np.ndarray((len(raw) - 7,), "<i8", raw, 0, (1,))  # the 8 bytes from each byte on
+    first += row
     start = 0
     while start < n:  # a run of indices of one width within a block of 10**4
         i = first + start
@@ -321,7 +342,7 @@ def _read_table(path: Path, kind: str, first: int = 0) -> np.ndarray:
         ok[rows] &= ends[rows] - newlines[rows] == width + 1  # ``width`` bytes before the comma
         for g in range(-(-width // 8)):  # the index's digits 8 at a time, from the last
             # The word that ends 8 g bytes before the comma, less these digits "0"-padded, is
-            # 0 in its top bytes.  numpy would copy an index not intp; a short row failed above.
+            # 0 in its top bytes.  A short row failed above.
             x = ends[rows] - np.intp(8 * g + 8)
             x = words[np.maximum(x, 0, out=x)]
             part = i // 10 ** (8 * g) % 10**8
@@ -331,8 +352,8 @@ def _read_table(path: Path, kind: str, first: int = 0) -> np.ndarray:
             ok[rows] &= x == 0
         start = stop
     if not ok.all():
-        raise CorruptData(f"{path}: data row {np.argmin(ok) + 1} is not 'index,±1' cells")
-    return cells.T
+        raise CorruptData(f"{path}: data row {row + np.argmin(ok) + 1} is not 'index,±1' cells")
+    return cells
 
 
 def _save(base: Path, kind: str, columns: list[np.ndarray], **meta) -> list[Path]:

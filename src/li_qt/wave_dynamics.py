@@ -277,13 +277,19 @@ def fisher_discrete(
     return total
 
 
+def _fisher_integrand(P: np.ndarray, dx: float) -> np.ndarray:
+    """(dP/dx)^2 / P, 0 where P is at or below the floor; P's normalization checked first."""
+    _check_normalized(P, dx, "P")
+    integrand = _d_space_spectral(P, dx)  # in place from here: F adds its dynamic term to it
+    integrand *= integrand
+    integrand /= np.maximum(P, PROBABILITY_FLOOR)
+    integrand[~(P > PROBABILITY_FLOOR)] = 0.0
+    return integrand
+
+
 def fisher_continuum(fields: PolarField, grid: SpatialGrid) -> float | np.ndarray:
     """Trapezoid quadrature of int dx dt (dP/dx)^2 / P, floor-masked."""
-    P = fields.P
-    _check_normalized(P, grid.dx, "P")
-    dP = _d_space_spectral(P, grid.dx)
-    integrand = np.where(P > PROBABILITY_FLOOR, dP**2 / np.maximum(P, PROBABILITY_FLOOR), 0.0)
-    return _time_integral(_x_integral(integrand, grid.dx), grid.dt)
+    return _time_integral(_x_integral(_fisher_integrand(fields.P, grid.dx), grid.dx), grid.dt)
 
 
 # -- classical limit -------------------------------------------------------------
@@ -299,17 +305,18 @@ def _hj_bracket(dSdt: np.ndarray, dSdx: np.ndarray, params: PhysicalParams,
 def functional_F(fields: PolarField, params: PhysicalParams,
                  grid: SpatialGrid) -> float | np.ndarray:
     """Quadrature of the robust-experiment functional F over (P, S): I_F plus its dynamic term."""
-    fisher = fisher_continuum(fields, grid)  # checks the normalization first
     P, S = fields.P, fields.S
+    integrand = _fisher_integrand(P, grid.dx)  # checks the normalization first
     live = P > PROBABILITY_FLOOR
     if not np.all((finite := np.isfinite(S))[live]):
         raise ValueError("S must be finite wherever P is above the floor")
     S_safe = np.where(finite, S, 0.0)
 
-    integrand = _hj_bracket(_d_time(S_safe, grid.dt), _d_space_spectral(S_safe, grid.dx),
-                            params, grid.x)
-    integrand *= 2 * params.mass * params.lam * P
-    return fisher + _time_integral(_x_integral(np.where(live, integrand, 0.0), grid.dx), grid.dt)
+    dynamic = _hj_bracket(_d_time(S_safe, grid.dt), _d_space_spectral(S_safe, grid.dx),
+                          params, grid.x)
+    dynamic *= 2 * params.mass * params.lam * P
+    np.add(integrand, dynamic, out=integrand, where=live)  # the Fisher term is 0 elsewhere
+    return _time_integral(_x_integral(integrand, grid.dx), grid.dt)
 
 
 def polar_to_wave(fields: PolarField, lam: float) -> np.ndarray:

@@ -552,14 +552,47 @@ class TestEventLogCodec:
         assert peak < 1.5 * 2**20  # the whole-file writer peaked at 8.5 MiB
 
     def test_reader_memory(self, tmp_path):
-        _write_table(tmp_path / "eprb.csv", "eprb", _log_columns("eprb", 300_000, 5, 0.5))
-        tracemalloc.start()
-        try:
-            _read_table(tmp_path / "eprb.csv", "eprb")  # 3.6 MiB
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10 * 2**20  # 9.5 MiB; the index check digit by digit peaked at 10.5
+        # A read holds the file, the cells twice (per slab, then joined) and one slab's
+        # temporaries: what it holds beyond the file and the cells does not grow with n.
+        beyond = []
+        for n in (100_000, 300_000):
+            path = tmp_path / f"eprb_{n}.csv"
+            _write_table(path, "eprb", _log_columns("eprb", n, 5, 0.5))
+            tracemalloc.start()
+            try:
+                cells = _read_table(path, "eprb")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            beyond.append(peak - path.stat().st_size - 2 * cells.nbytes)
+        assert peak < 6 * 2**20  # 4.8 MiB for 3.6 MiB; the whole-file decoder peaked at 9.5
+        assert beyond[1] < beyond[0] + 2**16, beyond  # 144 and 77 KiB; it grew 1.7 -> 5.3 MiB
+
+    @pytest.mark.parametrize("kind", ["sg", "eprb"])
+    @pytest.mark.parametrize("edge", [10, 100, 10**4])
+    @pytest.mark.parametrize("cut", [0, -1], ids=["at_the_edge", "between_cr_and_lf"])
+    def test_run_edge_on_a_slab_edge(self, tmp_path, monkeypatch, kind, edge, cut):
+        # The first slab ends where the run of indices from ``edge`` begins or, cut between
+        # the "\r" and "\n" of row edge - 1, one row before; a byte of either row is mutated.
+        csv_path = _save_log(tmp_path, kind, edge + 2)
+        data, written = csv_path.read_bytes(), load_events(csv_path)
+        starts = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n")) + 1
+        monkeypatch.setattr(io_cli, "_SLAB", int(starts[edge] - starts[0]) + cut)
+        assert data[starts[0] + io_cli._SLAB - 1] == ord("\r" if cut else "\n")
+        assert _same(load_events(csv_path), written)
+        ops = [("flip", ord("1")), ("delete", 0), ("insert", ord("0"))]
+        for at in range(starts[edge - 1], starts[edge + 1]):
+            csv_path.write_bytes(data)
+            op, byte = ops[at % 3]
+            _mutate_and_compare(csv_path, kind, edge + 2, op, at, byte)
+        for row in (edge - 1, edge):  # a wrong last index digit, or a blank row, names its row
+            last = starts[row] + len(str(row)) - 1
+            csv_path.write_bytes(data[:last] + bytes([data[last] ^ 1]) + data[last + 1:])
+            with pytest.raises(CorruptData, match=f"data row {row + 1} is not"):
+                load_events(csv_path)
+            csv_path.write_bytes(data[:starts[row]] + b"\r\n" + data[starts[row + 1]:])
+            with pytest.raises(CorruptData, match=f"data row {row + 1} is blank"):
+                load_events(csv_path)
 
     @pytest.mark.parametrize("kind", ["sg", "eprb"])
     @pytest.mark.parametrize("n", [0, 1, 25])
@@ -577,6 +610,32 @@ class TestEventLogCodec:
         for field in ("outcomes",) if kind == "sg" else ("xs", "ys"):
             assert np.array_equal(getattr(loaded, field), getattr(written, field))
         assert _grammar_cells(csv_path.read_bytes(), kind) is not None
+
+
+class TestEventLogCodecInRowSlabs:
+    """The small-log properties again with slabs of at most about a row, so that a slab is
+    smaller than its row, or its end falls between "\r" and "\n" (rows take 4 to 10 bytes)."""
+
+    @pytest.fixture(autouse=True, params=[1, 6, 11])
+    def slab(self, request, monkeypatch):
+        monkeypatch.setattr(io_cli, "_SLAB", request.param)
+
+    test_one_byte_mutation_reads_as_the_grammar_says_or_raises = (
+        TestEventLogCodec.test_one_byte_mutation_reads_as_the_grammar_says_or_raises)
+    test_line_endings_load_equal = TestEventLogCodec.test_line_endings_load_equal
+
+
+class TestEventLogCodecInSmallSlabs:
+    """The large-log properties again with slabs of about a hundred and four hundred rows."""
+
+    @pytest.fixture(autouse=True, params=[1000, 4099])
+    def slab(self, request, monkeypatch):
+        monkeypatch.setattr(io_cli, "_SLAB", request.param)
+
+    test_same_bytes_as_percent_d_and_round_trip = (
+        TestEventLogCodec.test_same_bytes_as_percent_d_and_round_trip)
+    test_one_byte_mutation_near_run_edges = TestEventLogCodec.test_one_byte_mutation_near_run_edges
+    test_wrong_index_digit_names_its_row = TestEventLogCodec.test_wrong_index_digit_names_its_row
 
 
 def _percent_g_table(kind: str, cells: np.ndarray) -> bytes:
