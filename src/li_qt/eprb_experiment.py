@@ -11,7 +11,8 @@ relative orientation of the two magnets fixes it only up to a flip.
 
 ``singlet_compliance_test`` is the five-standard-deviation hypothesis test of
 observed <xy> against -a1.a2; ``marginal_uniformity_test`` checks the uniform
-marginals the same way.
+marginals the same way.  Each takes a log or, in its ``*_from_counts`` form, the
+log's count table, on which alone the i-prob of independent pairs depends.
 """
 
 from __future__ import annotations
@@ -160,18 +161,23 @@ def correlation_report(log: PairEventLog) -> CorrelationReport:
     return correlation_report_from_counts(log.count_table())
 
 
-def marginal_uniformity_test(log: PairEventLog) -> tuple[float, float]:
+def marginal_uniformity_from_counts(counts: CountTable) -> tuple[float, float]:
     """Sigma-distances of the x and y marginals from the P = 1/2 prediction.
 
     The standard error is taken under the uniform-marginal null, 1/sqrt(N),
     so a log with all x = +1 scores exactly sqrt(N).
     """
-    n = log.n
+    n = counts.total
     if n < 100:
         raise EmptyLog(f"marginal test needs at least 100 pairs, got {n}")
-    report = correlation_report(log)
+    report = correlation_report_from_counts(counts)
     scale = math.sqrt(n)
     return abs(report.x_mean) * scale, abs(report.y_mean) * scale
+
+
+def marginal_uniformity_test(log: PairEventLog) -> tuple[float, float]:
+    """``marginal_uniformity_from_counts`` of the log's count table."""
+    return marginal_uniformity_from_counts(log.count_table())
 
 
 def singlet_compliance_from_counts(

@@ -33,6 +33,9 @@ from .errors import DegenerateProbability, MismatchedDimensions
 #: Documented smallness bound for the evidence expansion parameter epsilon.
 EPSILON_BOUND = math.pi / 8
 
+#: The two outcomes x, in the order dichotomic count tables use.
+DICHOTOMIC_SPACE = ((1,), (-1,))
+
 #: The four pair outcomes (x, y), in the order pair count tables use.
 PAIR_SPACE = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -74,7 +77,7 @@ class CountTable:
 
     @classmethod
     def dichotomic(cls, n_plus: int, n_minus: int) -> "CountTable":
-        return cls({(1,): int(n_plus), (-1,): int(n_minus)}, ((1,), (-1,)))
+        return cls({(1,): int(n_plus), (-1,): int(n_minus)}, DICHOTOMIC_SPACE)
 
     @classmethod
     def from_outcomes(cls, outcomes: Sequence[int]) -> "CountTable":

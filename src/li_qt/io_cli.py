@@ -3,13 +3,15 @@
 Event logs are CSV files with a JSON sidecar of the same stem.  ``run_command``
 builds each run directory beside ``--out`` with a ``manifest.json`` (resolved
 configuration and seeds, library version, RNG algorithm, timestamp, every output's
-sha256), then renames it to ``--out``, replacing an earlier run but nothing else.
-Re-running with the same configuration and seeds reproduces the CSVs byte for byte.
+sha256, each event log's counts), then renames it to ``--out``, replacing an earlier run
+but nothing else.  Re-running with the same configuration and seeds reproduces the CSVs
+byte for byte.  The analyses read a log's recorded counts while both its files match
+their digests, and decode it otherwise.
 
 Exit codes: 0 success, 2 usage or validation error (any ``ValueError``,
 ``OSError`` or ``MemoryError``), 3 numerical-contract failure (any
 ``RuntimeError``: boundary contact, unstable step, no signal, non-separable
-data; also a failed compliance test or digest mismatch).
+data; also a failed compliance test, or a digest or recorded count mismatch).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import __version__, eprb_experiment, separation, sg_experiment, wave_dynamics
 from .errors import CorruptData, SchemaMismatch
-from .inference_core import ExperimentConditions
+from .inference_core import DICHOTOMIC_SPACE, PAIR_SPACE, CountTable, ExperimentConditions
 from .sg_experiment import EventLog, UnitVector3
 from .eprb_experiment import PairEventLog
 from .wave_dynamics import (
@@ -110,7 +112,10 @@ _SIDECAR_FIELDS = {
     "eprb": {**_LOG_FIELDS, "a1": _VECTOR, "a2": _VECTOR},
 }
 _CONDITIONS_FIELDS = {"label": str, "parameters": dict}
-# manifest field -> the JSON type it must hold; ``outputs`` maps names to digest strings.
+# log kind -> the outcomes of its count table, in the order a manifest records the counts.
+_SPACES = {"sg": DICHOTOMIC_SPACE, "eprb": PAIR_SPACE}
+# manifest field -> the JSON type it must hold; ``outputs`` maps names to digest strings.  An
+# optional ``diagnostics`` object may hold ``counts``: log CSV name -> its count table.
 _MANIFEST_FIELDS = {
     "command": str, "config": dict, "library_version": str, "rng_algorithm": str,
     "created_utc": str, "outputs": dict,
@@ -393,11 +398,9 @@ def _log_files(base: Path) -> tuple[Path, Path]:
     return base.with_name(name + ".json"), base.with_name(name + ".csv")
 
 
-def load_events(base: Path) -> EventLog | PairEventLog:
-    """Load whatever log the sidecar at ``base`` describes.
-
-    ``base`` may point at the CSV, the JSON, or the common stem.
-    """
+def _read_sidecar(base: Path) -> tuple[dict, list[UnitVector3], ExperimentConditions]:
+    """The sidecar of the log at ``base``, validated, with its two orientations and its
+    conditions.  Both files of the log must exist."""
     sidecar_path, csv_path = paths = _log_files(base)
     for path in paths:
         if not path.exists():
@@ -412,21 +415,31 @@ def load_events(base: Path) -> EventLog | PairEventLog:
              if len(meta[key]) != 3 or not all(_is(c, _NUMBER) for c in meta[key])]
     if wrong:
         raise SchemaMismatch(f"{sidecar_path}: {wrong} must each hold 3 finite numbers")
-    rows = _read_table(csv_path, kind)
-    if rows.shape[0] != meta["n"]:
-        raise CorruptData(f"{csv_path}: {rows.shape[0]} rows but sidecar declares n={meta['n']}")
     cond = _require(meta["conditions"], _CONDITIONS_FIELDS, sidecar_path)
-    conditions = ExperimentConditions(label=cond["label"], parameters=cond["parameters"])
-    # The data columns, the two orientations, the seed and the conditions, in field order.
-    log = (EventLog if kind == "sg" else PairEventLog)(
-        *rows.T, *(UnitVector3(*meta[key]) for key in vectors), meta["seed"], conditions
-    )
-    if abs(log.theta - float(meta["theta"])) > 1e-12:
+    orientations = [UnitVector3(*meta[key]) for key in vectors]
+    theta = orientations[0].angle_to(orientations[1])  # the log's ``theta``
+    if abs(theta - float(meta["theta"])) > 1e-12:
         raise CorruptData(
             f"{sidecar_path}: declared theta {meta['theta']} does not match "
-            f"the angle between the orientations, {log.theta}"
+            f"the angle between the orientations, {theta}"
         )
-    return log
+    return meta, orientations, ExperimentConditions(cond["label"], cond["parameters"])
+
+
+def load_events(base: Path) -> EventLog | PairEventLog:
+    """Load whatever log the sidecar at ``base`` describes.
+
+    ``base`` may point at the CSV, the JSON, or the common stem.
+    """
+    meta, orientations, conditions = _read_sidecar(base)
+    csv_path = _log_files(base)[1]
+    rows = _read_table(csv_path, meta["kind"])
+    if rows.shape[0] != meta["n"]:
+        raise CorruptData(f"{csv_path}: {rows.shape[0]} rows but sidecar declares n={meta['n']}")
+    # The data columns, the two orientations, the seed and the conditions, in field order.
+    return (EventLog if meta["kind"] == "sg" else PairEventLog)(
+        *rows.T, *orientations, meta["seed"], conditions
+    )
 
 
 def load_external_pair_csv(
@@ -451,8 +464,10 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir: Path, args: argparse.Namespace, outputs: list[Path]) -> Path:
-    """Record ``args``' command, every parsed flag as resolved, and ``outputs``' digests."""
+def write_manifest(out_dir: Path, args: argparse.Namespace, outputs: list[Path],
+                   diagnostics: dict | None = None) -> Path:
+    """Record ``args``' command, every parsed flag as resolved, ``outputs``' digests and the
+    run's ``diagnostics``."""
     config = {k: v for k, v in vars(args).items() if k not in ("command", "subcommand", "func")}
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -462,6 +477,7 @@ def write_manifest(out_dir: Path, args: argparse.Namespace, outputs: list[Path])
         "rng_algorithm": RNG_ALGORITHM,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": {p.name: _sha256(p) for p in sorted(outputs)},
+        "diagnostics": diagnostics or {},
     }
     return _write_json(out_dir / "manifest.json", manifest)
 
@@ -477,19 +493,47 @@ def _read_manifest(out_dir: Path) -> dict:
                if name in ("", "..") or Path(name).name != name]  # a path, not a file name
     if outside:
         raise SchemaMismatch(f"{path}: outputs {outside} are not file names in {out_dir}")
+    diagnostics = manifest.get("diagnostics", {})
+    counts = diagnostics.get("counts", {}) if isinstance(diagnostics, dict) else None
+    if not isinstance(counts, dict):
+        raise SchemaMismatch(f"{path}: wrong type for ['diagnostics']")
+    wrong = []
+    for name, cells in counts.items():  # the count table of a listed sg_*.csv or eprb_*.csv
+        space = _SPACES.get(name.partition("_")[0], ()) if name.endswith(".csv") else ()
+        if (name not in manifest["outputs"] or not space or not isinstance(cells, list)
+                or len(cells) != len(space)  # a bool is no count; each fits an int64
+                or not all(type(c) is int and 0 <= c < 2**63 for c in cells)):
+            wrong.append(name)
+    if wrong:
+        raise SchemaMismatch(f"{path}: counts for {wrong} are not the count tables of listed logs")
     return manifest
 
 
+def _run_manifest(directory: Path) -> dict | None:
+    """The manifest of the run directory ``directory``; None where it holds none."""
+    return _read_manifest(directory) if (directory / "manifest.json").exists() else None
+
+
 def verify_manifest(out_dir: Path) -> list[str]:
-    """Recompute output digests; return a list of mismatch descriptions."""
+    """Recompute output digests, and decode each log with recorded counts to count it again;
+    return a list of mismatch descriptions."""
     manifest = _read_manifest(out_dir)
-    problems = []
+    problems, failed = [], set()
     for name, recorded in manifest["outputs"].items():
         target = Path(out_dir) / name
         if not target.exists():
             problems.append(f"{name}: missing")
         elif _sha256(target) != recorded:
             problems.append(f"{name}: digest mismatch")
+        else:
+            continue
+        failed.add(name)
+    for name, cells in manifest.get("diagnostics", {}).get("counts", {}).items():
+        log = Path(out_dir) / name  # counted again unless a digest already failed
+        if failed.isdisjoint(path.name for path in _log_files(log)):
+            found = load_events(log).count_table().as_vector().tolist()
+            if found != cells:
+                problems.append(f"{name}: counts {found} differ from the recorded {cells}")
     return problems
 
 
@@ -541,19 +585,21 @@ def _check_seed(seed: int, n: int = 1) -> int:
     return seed
 
 
-def _cmd_sg_run(args, out: Path) -> list[Path]:
+def _cmd_sg_run(args, out: Path) -> tuple[list[Path], dict]:
     args.seed = _check_seed(_fallback_seed(args.seed), args.n)
     thetas = _parse_theta_grid(args.theta_grid)
     m = _parse_vector(args.m_direction)
     seeds = sg_experiment.derive_seeds(args.seed, len(thetas))
-    outputs = []
+    outputs, counts = [], {}
     for i, (theta, child_seed) in enumerate(zip(thetas, seeds)):
         a = UnitVector3.from_polar(float(theta))
         log = sg_experiment.sample_sg(a, m, args.n, child_seed, sign=args.sign)
-        outputs += save_event_log(log, out / f"sg_{i:03d}")
-        e_hat, stderr = sg_experiment.estimate_expectation(log)
+        outputs += (files := save_event_log(log, out / f"sg_{i:03d}"))
+        table = log.count_table()
+        counts[files[0].name] = table.as_vector().tolist()
+        e_hat, stderr = sg_experiment.estimate_from_counts(table)
         print(f"theta={theta:.6f} n={args.n} e_hat={e_hat:+.6f} stderr={stderr:.2e}")
-    return outputs
+    return outputs, {"counts": counts}
 
 
 def _log_sidecars(logdir: Path, kind: str) -> list[Path]:
@@ -564,13 +610,40 @@ def _log_sidecars(logdir: Path, kind: str) -> list[Path]:
     return sidecars
 
 
+def _count_tables(logdir: Path, kind: str, manifest: dict | None
+                  ) -> list[tuple[UnitVector3, UnitVector3, CountTable]]:
+    """The two orientations and the count table of each ``kind`` log under ``logdir``.
+
+    The events are independent, so the counts are all an analysis reads of a log.  They are
+    the ones ``manifest`` records where the log's CSV and sidecar both match their digests
+    there; every other log is decoded.  The sidecar is validated either way.
+    """
+    outputs = manifest["outputs"] if manifest else {}
+    recorded = manifest.get("diagnostics", {}).get("counts", {}) if manifest else {}
+    tables = []
+    for sidecar in _log_sidecars(logdir, kind):
+        meta, orientations, _ = _read_sidecar(sidecar)
+        if meta["kind"] != kind:
+            raise SchemaMismatch(f"{sidecar}: declares kind {meta['kind']!r}, not {kind!r}")
+        files = _log_files(sidecar)
+        cells = recorded.get(files[1].name)
+        if cells is not None and all(outputs.get(p.name) == _sha256(p) for p in files):
+            table = CountTable(dict(zip(_SPACES[kind], cells)), _SPACES[kind])
+            if table.total != meta["n"]:
+                raise CorruptData(f"{files[1]}: the recorded counts sum to {table.total} but "
+                                  f"sidecar declares n={meta['n']}")
+        else:
+            table = load_events(sidecar).count_table()
+        tables.append((*orientations, table))
+    return tables
+
+
 def _cmd_sg_fit(args) -> int:
     logdir = Path(args.logdir)
     thetas, e_hats, stderrs = [], [], []
-    for sidecar in _log_sidecars(logdir, "sg"):
-        log = load_events(sidecar)
-        e_hat, stderr = sg_experiment.estimate_expectation(log)
-        thetas.append(log.theta)
+    for a, m, table in _count_tables(logdir, "sg", _run_manifest(logdir)):
+        e_hat, stderr = sg_experiment.estimate_from_counts(table)
+        thetas.append(a.angle_to(m))
         e_hats.append(e_hat)
         stderrs.append(stderr)
     fit = sg_experiment.fit_robust_solution(thetas, e_hats, k_max=args.k_max, stderrs=stderrs)
@@ -590,52 +663,57 @@ def _cmd_sg_fit(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eprb_run(args, out: Path) -> list[Path]:
+def _cmd_eprb_run(args, out: Path) -> tuple[list[Path], dict]:
     args.seed = _check_seed(_fallback_seed(args.seed), args.n)
     thetas = _parse_theta_grid(args.theta_grid)
     seeds = sg_experiment.derive_seeds(args.seed, len(thetas))
     sign = -1 if args.correlation_sign == "-" else 1
-    outputs = []
+    outputs, counts = [], {}
     for i, (theta, child_seed) in enumerate(zip(thetas, seeds)):
         a1 = UnitVector3(0.0, 0.0, 1.0)
         a2 = UnitVector3.from_polar(float(theta))
         log = eprb_experiment.sample_eprb(
             a1, a2, args.n, child_seed, correlation_sign=sign
         )
-        outputs += save_pair_log(log, out / f"eprb_{i:03d}")
-        report = eprb_experiment.correlation_report(log)
+        outputs += (files := save_pair_log(log, out / f"eprb_{i:03d}"))
+        table = log.count_table()
+        counts[files[0].name] = table.as_vector().tolist()
+        report = eprb_experiment.correlation_report_from_counts(table)
         print(
             f"theta={theta:.6f} n={args.n} xy_mean={report.xy_mean:+.6f} "
             f"x_mean={report.x_mean:+.6f} y_mean={report.y_mean:+.6f}"
         )
-    return outputs
+    return outputs, {"counts": counts}
 
 
-def _iter_pair_logs(args) -> list[PairEventLog]:
+def _pair_tables(args, manifest: dict | None) -> list[tuple[UnitVector3, UnitVector3, CountTable]]:
+    """``_count_tables`` of the eprb logs at ``args.source``, or of an external CSV."""
     source = Path(args.source)
     if source.is_dir():
-        return [load_events(p) for p in _log_sidecars(source, "eprb")]
+        return _count_tables(source, "eprb", manifest)
     if args.a1 is None or args.a2 is None:
         raise ConfigError("external CSV input needs --a1 and --a2")
-    return [load_external_pair_csv(source, _parse_vector(args.a1), _parse_vector(args.a2))]
+    log = load_external_pair_csv(source, _parse_vector(args.a1), _parse_vector(args.a2))
+    return [(log.a1, log.a2, log.count_table())]
 
 
 def _cmd_eprb_report(args) -> int:
     source, out = Path(args.source), None if args.out is None else Path(args.out)
+    manifest = _run_manifest(source)
     if out is not None:  # refused if it is a file the report reads or its run directory lists
         reads = {source} if not source.is_dir() else {
             path for sidecar in source.glob("eprb_*.json") for path in _log_files(sidecar)}
-        if (source / "manifest.json").exists():
-            reads |= {source / n for n in ("manifest.json", *_read_manifest(source)["outputs"])}
+        if manifest is not None:
+            reads |= {source / n for n in ("manifest.json", *manifest["outputs"])}
         if any(p.samefile(out) if p.exists() else os.path.realpath(p) == os.path.realpath(out)
                for p in reads if p.exists() == out.exists()):  # a missing out is a missing input
             raise ConfigError(f"--out {args.out} is an input of the report; left as it is")
     rows = []
-    for log in _iter_pair_logs(args):
-        rep = eprb_experiment.correlation_report(log)
-        rows.append((log.theta, rep.xy_mean, rep.x_mean, rep.y_mean, rep.stderr_xy, rep.n))
+    for a1, a2, table in _pair_tables(args, manifest):
+        rep, theta = eprb_experiment.correlation_report_from_counts(table), a1.angle_to(a2)
+        rows.append((theta, rep.xy_mean, rep.x_mean, rep.y_mean, rep.stderr_xy, rep.n))
         print(
-            f"theta={log.theta:.6f} xy_mean={rep.xy_mean:+.6f} "
+            f"theta={theta:.6f} xy_mean={rep.xy_mean:+.6f} "
             f"x_mean={rep.x_mean:+.6f} y_mean={rep.y_mean:+.6f} "
             f"stderr_xy={rep.stderr_xy:.2e} n={rep.n}"
         )
@@ -646,15 +724,14 @@ def _cmd_eprb_report(args) -> int:
 
 
 def _cmd_eprb_test(args) -> int:
-    logs = _iter_pair_logs(args)
     all_pass = True
-    for log in logs:
-        sigma, ok = eprb_experiment.singlet_compliance_test(log)
-        sig_x, sig_y = eprb_experiment.marginal_uniformity_test(log)
+    for a1, a2, table in _pair_tables(args, _run_manifest(Path(args.source))):
+        sigma, ok = eprb_experiment.singlet_compliance_from_counts(table, a1, a2)
+        sig_x, sig_y = eprb_experiment.marginal_uniformity_from_counts(table)
         line_pass = ok and sig_x <= 5 and sig_y <= 5
         all_pass &= line_pass
         print(
-            f"theta={log.theta:.6f} singlet_sigma={sigma:.3f} "
+            f"theta={a1.angle_to(a2):.6f} singlet_sigma={sigma:.3f} "
             f"marginal_sigma=({sig_x:.3f}, {sig_y:.3f}) "
             f"{'PASS' if line_pass else 'FAIL'}"
         )
@@ -665,7 +742,7 @@ def _design(rows: np.ndarray) -> list[tuple[UnitVector3, UnitVector3]]:
     return [(UnitVector3(*r[0:3]), UnitVector3(*r[3:6])) for r in rows.tolist()]
 
 
-def _cmd_separate_sg(args, out: Path) -> list[Path]:
+def _cmd_separate_sg(args, out: Path) -> tuple[list[Path], dict]:
     rows = _read_table(args.input, "sg_correlations")
     result = separation.separate_sg(rows[:, 6], _design(rows), noise_floor=args.noise_floor)
     rho = separation.HermitianOperator(
@@ -681,10 +758,10 @@ def _cmd_separate_sg(args, out: Path) -> list[Path]:
         "u0": result.u0,
         "residual": result.residual,
         "trivial_signal": result.trivial_signal,
-    })]
+    })], {}
 
 
-def _cmd_separate_eprb(args, out: Path) -> list[Path]:
+def _cmd_separate_eprb(args, out: Path) -> tuple[list[Path], dict]:
     rows = _read_table(args.input, "eprb_correlations")
     result = separation.separate_eprb(_design(rows), *rows[:, 6:9].T, noise_floor=args.noise_floor)
     print(f"rho0={result.coeffs.rho0:.6f} residual={result.residual:.2e}")
@@ -695,7 +772,7 @@ def _cmd_separate_eprb(args, out: Path) -> list[Path]:
         "rho12": [[float(v) for v in row] for row in result.coeffs.rho12],
         "residual": result.residual,
         "block_residuals": result.block_residuals,
-    })]
+    })], {}
 
 
 def _build_potential(kind: str, mass: float):
@@ -717,7 +794,7 @@ def _build_potential(kind: str, mass: float):
     raise ConfigError(f"unknown potential {kind!r}")
 
 
-def _cmd_evolve(args, out: Path) -> list[Path]:
+def _cmd_evolve(args, out: Path) -> tuple[list[Path], dict]:
     parts = args.grid.split(",")
     if len(parts) != 4:
         raise ConfigError(f"--grid expects L,n_x,dt,n_t, got {args.grid!r}")
@@ -750,7 +827,7 @@ def _cmd_evolve(args, out: Path) -> list[Path]:
         f"{abs(traj.energies[-1] - traj.energies[0]):.2e}; "
         f"max wall mass {traj.max_edge_mass:.2e}"
     )
-    return outputs
+    return outputs, {}
 
 
 def _cmd_check_fq(args) -> int:
@@ -1001,8 +1078,9 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 
 def _write_run(args: argparse.Namespace) -> int:
-    """Let ``args.func(args, directory)`` write a new directory and return the paths it wrote;
-    add the manifest, then rename it to ``--out``.  A failure leaves ``--out`` as it was."""
+    """Let ``args.func(args, directory)`` write a new directory and return the paths it wrote
+    and the run's diagnostics; add the manifest, then rename it to ``--out``.  A failure leaves
+    ``--out`` as it was."""
     out = Path(os.path.abspath(args.out))  # "." and "a/.." get a name and a parent
     entries = os.scandir(out) if out.exists() else ()  # a file raises NotADirectoryError
     files = {e.name: e.is_file(follow_symlinks=False) for e in entries}
@@ -1014,7 +1092,7 @@ def _write_run(args: argparse.Namespace) -> int:
     stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
     try:
         (run := stage / "run").mkdir()  # with the usual mode, not mkdtemp's 0o700
-        write_manifest(run, args, args.func(args, run))
+        write_manifest(run, args, *args.func(args, run))
         if out.exists():
             out.rename(stage / "old")  # removed with the stage
         run.rename(out)

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyLog, InsufficientData, NoSignal
-from .inference_core import ExperimentConditions
+from .inference_core import CountTable, ExperimentConditions
 
 _UNIT_TOL = 1e-12
 
@@ -113,6 +113,10 @@ class EventLog:
     def n(self) -> int:
         return int(self.outcomes.size)
 
+    def count_table(self) -> CountTable:
+        minus = int(np.count_nonzero(self.outcomes < 0))
+        return CountTable.dichotomic(self.n - minus, minus)
+
 
 @dataclass(frozen=True)
 class RobustFit:
@@ -168,14 +172,24 @@ def sample_sg(
     )
 
 
-def estimate_expectation(log: EventLog) -> tuple[float, float]:
-    """Sample mean of x and its standard error sqrt((1 - E^2)/N)."""
-    n = log.n
+def estimate_from_counts(counts: CountTable) -> tuple[float, float]:
+    """Sample mean of x, (n(+1) - n(-1)) / N, and its standard error sqrt((1 - E^2)/N).
+
+    The mean equals ``np.mean`` of the outcomes bit for bit: their sum is an exact
+    integer either way, and the one division is correctly rounded.
+    """
+    n = counts.total
     if n < 2:
         raise EmptyLog(f"need at least 2 events to estimate, got {n}")
-    e_hat = float(np.mean(log.outcomes))
+    n_plus, n_minus = counts.as_vector().tolist()
+    e_hat = (n_plus - n_minus) / n
     stderr = math.sqrt(max(0.0, 1.0 - e_hat * e_hat) / n)
     return e_hat, stderr
+
+
+def estimate_expectation(log: EventLog) -> tuple[float, float]:
+    """Sample mean of x and its standard error sqrt((1 - E^2)/N)."""
+    return estimate_from_counts(log.count_table())
 
 
 def fit_robust_solution(

@@ -23,6 +23,7 @@ import li_qt
 from li_qt import io_cli, separation, wave_dynamics
 from li_qt.errors import CorruptData, SchemaMismatch
 from li_qt.eprb_experiment import PairEventLog, sample_eprb
+from li_qt.inference_core import PAIR_SPACE
 from li_qt.io_cli import (
     _ROWS,
     _log_rows,
@@ -322,15 +323,25 @@ def _same(loaded, original) -> bool:
 
 
 def _schema_paths(doc: dict, kind: str) -> tuple[list[tuple], list[tuple]]:
-    """The places a loader checks: keys it requires (droppable) and values it types."""
+    """The places a loader checks: keys it requires or reads where present (droppable) and
+    values it types."""
     keys = [(key,) for key in doc]
     if kind in ("sg", "eprb"):
         keys += [("conditions", key) for key in doc["conditions"]]
-    values = keys + [(key, i) for key, value in doc.items() if isinstance(value, list)
-                     for i in range(len(value))]
+    if kind == "manifest":
+        keys += [("diagnostics", "counts"), *(("diagnostics", "counts", name)
+                                               for name in doc["diagnostics"]["counts"])]
+    values = keys + [(*key, i) for key in keys if isinstance(_at(doc, key), list)
+                     for i in range(len(_at(doc, key)))]
     if kind == "manifest":
         values += [("outputs", name) for name in doc["outputs"]]
     return keys, values
+
+
+def _at(doc, path: tuple):
+    for step in path:
+        doc = doc[step]
+    return doc
 
 
 # A value of another JSON type put in a field's place: a boolean, an int past the float
@@ -348,25 +359,28 @@ MUTATIONS = st.one_of(
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.sampled_from(["sg", "eprb", "manifest"]), MUTATIONS)
 def test_mutated_sidecar_or_manifest_loads_equal_or_raises(tmp_path_factory, kind, mutation):
-    """A dropped or retyped field loads as before or is rejected.  So do flipped or
-    truncated bytes that still parse to the original document; bytes that parse to
-    another valid one (a flipped digit of ``seed``, say) may load as what it declares."""
+    """A dropped or retyped field loads as before or is rejected, except that a manifest
+    without some of its optional ``diagnostics`` loads as what it now declares.  So do
+    flipped or truncated bytes that still parse to the original document; bytes that parse
+    to another valid one (a flipped digit of ``seed``, say) may load as what it declares."""
     tmp = tmp_path_factory.mktemp("sidecar")
     csv_path = _write_log(tmp, "sg" if kind == "manifest" else kind, 3)
     if kind == "manifest":
-        write_manifest(tmp, _sg_run_args(n=3, seed=1), [csv_path, csv_path.with_suffix(".json")])
+        counts = {csv_path.name: load_events(csv_path).count_table().as_vector().tolist()}
+        write_manifest(tmp, _sg_run_args(n=3, seed=1), [csv_path, csv_path.with_suffix(".json")],
+                       {"counts": counts})
         path, load = tmp / "manifest.json", lambda: _read_manifest(tmp)
     else:
         path, load = csv_path.with_suffix(".json"), lambda: load_events(csv_path)
     original, data = load(), path.read_bytes()
     doc = json.loads(data)
     op, where, *value = mutation
+    optional = False
     if op in ("drop", "retype"):
         keys, values = _schema_paths(doc, kind)
         *parents, last = (keys if op == "drop" else values)[where % len(keys if op == "drop" else values)]
-        target = doc
-        for step in parents:
-            target = target[step]
+        optional = op == "drop" and kind == "manifest" and "diagnostics" in (*parents, last)
+        target = _at(doc, parents)
         if op == "drop":
             del target[last]
         else:
@@ -386,7 +400,7 @@ def test_mutated_sidecar_or_manifest_loads_equal_or_raises(tmp_path_factory, kin
         unchanged = op in ("drop", "retype") or json.loads(path.read_bytes()) == doc
     except ValueError:
         unchanged = False
-    assert not unchanged or _same(loaded, original)
+    assert not unchanged or _same(loaded, doc if optional else original)
 
 
 def _log_columns(kind: str, n: int, seed: int, p_minus: float) -> list[np.ndarray]:
@@ -735,6 +749,10 @@ class TestManifest:
         ("config", [1]),
         ("command", 3),
         ("created_utc", None),
+        ("diagnostics", []),
+        ("diagnostics", "counts"),
+        ("diagnostics", {"counts": [[2, 1]]}),
+        ("diagnostics", {"counts": None}),
     ])
     def test_wrong_type_rejected(self, tmp_path, key, value):
         write_manifest(tmp_path, _sg_run_args(n=1), [])
@@ -752,6 +770,39 @@ class TestManifest:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(SchemaMismatch, match="are not file names"):
             verify_manifest(tmp_path)
+
+    @pytest.mark.parametrize("kind, name, cells", [
+        ("sg", "sg_000.csv", [3]),  # wrong length
+        ("sg", "sg_000.csv", [1, 1, 1]),
+        ("eprb", "eprb_000.csv", [2, 1]),
+        ("sg", "sg_000.csv", [4, -1]),  # negative
+        ("sg", "sg_000.csv", [2**63, 0]),  # past int64
+        ("sg", "sg_000.csv", [True, 2]),  # a bool is no count
+        ("sg", "sg_000.csv", [2.0, 1]),  # nor is a float
+        ("eprb", "eprb_000.csv", [1, 1, 1, 1.5]),
+        ("sg", "sg_000.csv", "2,1"),  # not a list
+        ("sg", "sg_000.csv", {"1": 2, "-1": 1}),
+        ("sg", "sg_000.csv", None),
+        ("sg", "sg_001.csv", [2, 1]),  # no listed output
+        ("sg", "sg_000.json", [2, 1]),  # a listed file, but no log's CSV
+    ])
+    def test_malformed_counts_rejected(self, tmp_path, kind, name, cells):
+        csv_path = _write_log(tmp_path, kind, 3)
+        write_manifest(tmp_path, _sg_run_args(n=3), [csv_path, csv_path.with_suffix(".json")],
+                       {"counts": {name: cells}})
+        with pytest.raises(SchemaMismatch, match=re.escape(f"counts for {[name]} are not")):
+            verify_manifest(tmp_path)
+
+    def test_verify_counts_each_log_again(self, tmp_path):
+        csv_path = _write_log(tmp_path, "eprb", 30)
+        cells = load_events(csv_path).count_table().as_vector().tolist()
+        outputs = [csv_path, csv_path.with_suffix(".json")]
+        write_manifest(tmp_path, _sg_run_args(n=30), outputs, {"counts": {csv_path.name: cells}})
+        assert verify_manifest(tmp_path) == []
+        moved = [cells[0] + 1, cells[1] - 1, *cells[2:]] if cells[1] else [*cells[2:], *cells[:2]]
+        write_manifest(tmp_path, _sg_run_args(n=30), outputs, {"counts": {csv_path.name: moved}})
+        assert verify_manifest(tmp_path) == [
+            f"eprb_000.csv: counts {cells} differ from the recorded {moved}"]
 
 
 def _run_python(args: list[str]) -> subprocess.CompletedProcess:
@@ -1190,6 +1241,33 @@ def _edited_manifest(edit):
     return make_argv
 
 
+def _edited_counts(cells, *command: str):
+    """``command`` on an ``sg run`` whose manifest records ``cells`` (or a function of the
+    recorded ones) as the counts of its log."""
+    def make_argv(tmp: Path) -> list[str]:
+        manifest = json.loads(((run := _sg_run(tmp)) / "manifest.json").read_text())
+        counts = manifest["diagnostics"]["counts"]
+        counts["sg_000.csv"] = cells(counts["sg_000.csv"]) if callable(cells) else cells
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        return [*command, str(run)]
+
+    return make_argv
+
+
+def _log_of_the_other_kind(run_kind: str, *command: str):
+    """``command`` on a one-log ``run_kind`` run whose log files take the other kind's name."""
+    other = {"sg": "eprb", "eprb": "sg"}[run_kind]
+
+    def make_argv(tmp: Path) -> list[str]:
+        assert run_command([run_kind, "run", "--theta", "0.5", "--n", "100", "--seed", "1",
+                            "--out", str(run := tmp / "run")]) == 0
+        for suffix in (".csv", ".json"):
+            (run / f"{run_kind}_000{suffix}").rename(run / f"{other}_000{suffix}")
+        return [*command, str(run)]
+
+    return make_argv
+
+
 def _run_with_theta_grid(command: str, spec: str):
     return lambda tmp: [command, "run", f"--theta-grid={spec}", "--out", str(tmp / "out")]
 
@@ -1250,6 +1328,20 @@ EXIT_CASES = {
                                     2, "wrong type for ['outputs']"),
     "manifest_output_outside_run": (_edited_manifest(lambda m: m["outputs"].update(
         {"../sg_000.csv": "0" * 64})), 2, "outputs ['../sg_000.csv'] are not file names"),
+    **{f"{'_'.join(command)}_counts_{name}": (_edited_counts(cells, *command), 2,
+                                               "counts for ['sg_000.csv'] are not")
+       for command in (("sg", "fit"), ("report", "--verify"))
+       for name, cells in (("boolean", [True, 99]), ("negative", [101, -1]), ("float", [99.0, 1]),
+                           ("one_cell", [100]), ("not_list", "100,0"))},
+    "sg_fit_eprb_log": (_log_of_the_other_kind("eprb", "sg", "fit"), 2,
+                        "declares kind 'eprb', not 'sg'"),
+    "eprb_test_sg_log": (_log_of_the_other_kind("sg", "eprb", "test"), 2,
+                         "declares kind 'sg', not 'eprb'"),
+    "sg_fit_counts_sum_past_n": (_edited_counts(lambda cells: [cells[0] + 1, cells[1]], "sg", "fit"),
+                                 2, "sg_000.csv: the recorded counts sum to 101"),
+    "report_verify_counts_edited": (
+        _edited_counts(lambda cells: cells[::-1], "report", "--verify"), 3,
+        "VERIFY FAIL sg_000.csv: counts [97, 3] differ from the recorded [3, 97]"),
     "stride_zero": (lambda tmp: ["evolve", "--grid", "10,64,0.001,10", "--stride", "0"],
                     2, "stride"),
     **{f"{cmd.replace(' ', '_')}_{flag[2:]}_double_dash": (
@@ -1518,6 +1610,97 @@ def test_eprb_report_out_fuzz(tmp_path_factory, name, spelling, external):
     assert code == (2 if name in inputs else 0)
     if code == 0:
         assert out.read_bytes().startswith(b"theta,xy_mean,")
+
+
+# A run, and what its analyses need: 8 angles over [0, pi] for ``sg fit``, at least 100
+# pairs a log for ``eprb test``.
+_SUFFICIENT_RUNS = {
+    "sg": ["sg", "run", "--theta-grid", "0:3.141592653589793:8", "--n", "100", "--seed", "3"],
+    "eprb": ["eprb", "run", "--theta-grid", "0:3.141592653589793:3", "--n", "120", "--seed", "3"],
+}
+# mutation -> the exit code of ``report --verify`` after it.
+_RUN_MUTATIONS = {"none": 0, "csv byte": 3, "sidecar byte": 3, "count moved": 3,
+                  "counts dropped": 0, "manifest deleted": 2}
+
+
+def _captured(argv: list[str]) -> tuple[int, str, str]:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run_command(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def _analyses(run: Path, kind: str) -> list[tuple]:
+    """Exit code, stdout, stderr and the written file's bytes of each analysis of ``run``."""
+    if kind == "sg":
+        commands = [(["sg", "fit", str(run)], run / "fit.json")]
+    else:
+        report = run.parent / "report.csv"
+        commands = [(["eprb", "report", str(run), "--out", str(report)], report),
+                    (["eprb", "test", str(run)], None)]
+    return [(*_captured(argv), written.read_bytes() if written and written.exists() else None)
+            for argv, written in commands]
+
+
+def _move_one_event(csv_path: Path, source: int, target: int) -> None:
+    """Rewrite the log at ``csv_path`` with one event moved from count cell ``source`` to
+    ``target``; its sidecar is written again, unchanged."""
+    log, base = load_events(csv_path), csv_path.with_suffix("")
+    if isinstance(log, EventLog):
+        outcomes = log.outcomes.copy()
+        outcomes[np.flatnonzero(outcomes == (1, -1)[source])[0]] = (1, -1)[target]
+        save_event_log(dataclasses.replace(log, outcomes=outcomes), base)
+    else:
+        xs, ys = log.xs.copy(), log.ys.copy()
+        i = np.flatnonzero((xs == PAIR_SPACE[source][0]) & (ys == PAIR_SPACE[source][1]))[0]
+        xs[i], ys[i] = PAIR_SPACE[target]
+        save_pair_log(dataclasses.replace(log, xs=xs, ys=ys), base)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["sg", "eprb"]), mutation=st.sampled_from(sorted(_RUN_MUTATIONS)),
+       which=st.integers(0, 7), where=st.integers(0, 10**6), xor=st.integers(1, 255))
+def test_recorded_counts_analyse_as_the_decoded_logs(tmp_path_factory, kind, mutation, which,
+                                                     where, xor):
+    """An analysis of a run reads the counts its manifest records, and gives the bytes,
+    stdout and exit code of decoding its logs: a run whose manifest records no counts (the
+    twin) and whose logs hold those counts.  They differ from the CSVs' own counts only
+    where a recorded count was moved with the digests left intact; then ``report --verify``
+    names that CSV."""
+    tmp = tmp_path_factory.mktemp("counts")
+    assert _captured([*_SUFFICIENT_RUNS[kind], "--out", str(run := tmp / "a" / "run")])[0] == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    csv_path = sorted(run.glob(f"{kind}_*.csv"))[which % len(manifest["diagnostics"]["counts"])]
+    cells = manifest["diagnostics"]["counts"][csv_path.name]
+    if mutation in ("csv byte", "sidecar byte"):
+        path = csv_path if mutation == "csv byte" else csv_path.with_suffix(".json")
+        data = bytearray(path.read_bytes())
+        data[where % len(data)] ^= xor
+        path.write_bytes(bytes(data))
+    elif mutation == "count moved":
+        source = [i for i, count in enumerate(cells) if count][where % sum(map(bool, cells))]
+        target = (source + 1 + xor % (len(cells) - 1)) % len(cells)
+        cells[source] -= 1
+        cells[target] += 1
+    elif mutation == "counts dropped":
+        del manifest["diagnostics"]["counts"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    if mutation == "manifest deleted":
+        (run / "manifest.json").unlink()
+    shutil.copytree(run, twin := tmp / "b" / "run")
+    if (twin / "manifest.json").exists():
+        manifest["diagnostics"].pop("counts", None)
+        (twin / "manifest.json").write_text(json.dumps(manifest))
+    if mutation == "count moved":
+        _move_one_event(twin / csv_path.name, source, target)
+
+    code, stdout, stderr = _captured(["report", str(run), "--verify"])
+    assert code == _RUN_MUTATIONS[mutation]
+    if mutation == "count moved":
+        assert f"VERIFY FAIL {csv_path.name}: counts " in stderr
+    decoded = [tuple(v.replace(str(tmp / "b"), str(tmp / "a")) if isinstance(v, str) else v
+                     for v in result) for result in _analyses(twin, kind)]
+    assert _analyses(run, kind) == decoded
 
 
 def _tree(root: Path) -> dict[str, bytes | None]:
