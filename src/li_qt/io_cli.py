@@ -5,8 +5,9 @@ builds each run directory beside ``--out`` with a ``manifest.json`` (resolved
 configuration and seeds, library version, RNG algorithm, timestamp, every output's
 sha256, each event log's counts), then renames it to ``--out``, replacing an earlier run
 but nothing else.  Re-running with the same configuration and seeds reproduces the CSVs
-byte for byte.  The analyses read a log's recorded counts while both its files match
-their digests, and decode it otherwise.
+byte for byte.  An analysis of a run directory reads exactly the logs its manifest lists
+(every log of the kind where there is no manifest), and a log's recorded counts while both
+its files match their digests; it decodes the log otherwise.
 
 Exit codes: 0 success, 2 usage or validation error (any ``ValueError``,
 ``OSError`` or ``MemoryError``), 3 numerical-contract failure (any
@@ -419,10 +420,8 @@ def _read_sidecar(base: Path) -> tuple[dict, list[UnitVector3], ExperimentCondit
     orientations = [UnitVector3(*meta[key]) for key in vectors]
     theta = orientations[0].angle_to(orientations[1])  # the log's ``theta``
     if abs(theta - float(meta["theta"])) > 1e-12:
-        raise CorruptData(
-            f"{sidecar_path}: declared theta {meta['theta']} does not match "
-            f"the angle between the orientations, {theta}"
-        )
+        raise CorruptData(f"{sidecar_path}: declared theta {meta['theta']} does not match "
+                          f"the angle between the orientations, {theta}")
     return meta, orientations, ExperimentConditions(cond["label"], cond["parameters"])
 
 
@@ -437,14 +436,11 @@ def load_events(base: Path) -> EventLog | PairEventLog:
     if rows.shape[0] != meta["n"]:
         raise CorruptData(f"{csv_path}: {rows.shape[0]} rows but sidecar declares n={meta['n']}")
     # The data columns, the two orientations, the seed and the conditions, in field order.
-    return (EventLog if meta["kind"] == "sg" else PairEventLog)(
-        *rows.T, *orientations, meta["seed"], conditions
-    )
+    return (EventLog if meta["kind"] == "sg" else PairEventLog)(*rows.T, *orientations,
+                                                                meta["seed"], conditions)
 
 
-def load_external_pair_csv(
-    path: Path, a1: UnitVector3, a2: UnitVector3
-) -> PairEventLog:
+def load_external_pair_csv(path: Path, a1: UnitVector3, a2: UnitVector3) -> PairEventLog:
     """Ingest a bare index,x,y CSV (no sidecar) with orientations from flags."""
     return PairEventLog(*_read_table(path, "eprb").T, a1=a1, a2=a2, seed=-1)
 
@@ -509,32 +505,93 @@ def _read_manifest(out_dir: Path) -> dict:
     return manifest
 
 
-def _run_manifest(directory: Path) -> dict | None:
-    """The manifest of the run directory ``directory``; None where it holds none."""
-    return _read_manifest(directory) if (directory / "manifest.json").exists() else None
+class _RunDir:
+    """A log directory as one command reads it: its ``manifest.json`` parsed and validated
+    once, where it holds one or ``need_manifest`` says it must, and each listed file's digest
+    checked at most once."""
 
+    def __init__(self, path: Path, need_manifest: bool = False):
+        self.path = Path(path)
+        has = need_manifest or (self.path / "manifest.json").exists()
+        self.manifest = _read_manifest(path) if has else None
+        self.counts = self.manifest.get("diagnostics", {}).get("counts", {}) if has else {}
+        self._problems: dict[str, str | None] = {}
 
-def verify_manifest(out_dir: Path) -> list[str]:
-    """Recompute output digests, and decode each log with recorded counts to count it again;
-    return a list of mismatch descriptions."""
-    manifest = _read_manifest(out_dir)
-    problems, failed = [], set()
-    for name, recorded in manifest["outputs"].items():
-        target = Path(out_dir) / name
-        if not target.exists():
-            problems.append(f"{name}: missing")
-        elif _sha256(target) != recorded:
-            problems.append(f"{name}: digest mismatch")
+    def _problem(self, path: Path) -> str | None:
+        """What is wrong with the listed file at ``path``: "missing", "digest mismatch" or None."""
+        if path.name not in self._problems:
+            self._problems[path.name] = (
+                "missing" if not path.exists() else
+                "digest mismatch" if _sha256(path) != self.manifest["outputs"][path.name] else None)
+        return self._problems[path.name]
+
+    def logs(self, kind: str) -> list[Path]:
+        """The sidecars of the ``kind`` logs in name order: those the manifest lists, each by
+        both its files, or every ``{kind}_*.json`` where there is no manifest; none is an error."""
+        if self.manifest is None:
+            sidecars = sorted(self.path.glob(f"{kind}_*.json"))
         else:
-            continue
-        failed.add(name)
-    for name, cells in manifest.get("diagnostics", {}).get("counts", {}).items():
-        log = Path(out_dir) / name  # counted again unless a digest already failed
-        if failed.isdisjoint(path.name for path in _log_files(log)):
-            found = load_events(log).count_table().as_vector().tolist()
-            if found != cells:
-                problems.append(f"{name}: counts {found} differ from the recorded {cells}")
-    return problems
+            listed = self.manifest["outputs"]  # a log's stem: its name without ".csv"/".json"
+            names = sorted({name.rpartition(".")[0] + ".json" for name in listed
+                            if name.startswith(f"{kind}_") and name.endswith((".csv", ".json"))})
+            unlisted = [name for sidecar in names for name in (sidecar, sidecar[:-4] + "csv")
+                        if name not in listed]
+            if unlisted:
+                raise SchemaMismatch(f"{self.path}: its manifest lists a log without {unlisted[0]}")
+            sidecars = [self.path / name for name in names]
+        if not sidecars:
+            raise FileNotFoundError(f"no {kind}_*.json logs under {self.path}")
+        return sidecars
+
+    def inputs(self, kind: str) -> set[Path]:
+        """The files of ``logs(kind)``, or, where there is a manifest, it and all it lists."""
+        if self.manifest is None:
+            return {path for sidecar in self.logs(kind) for path in _log_files(sidecar)}
+        return {self.path / name for name in ("manifest.json", *self.manifest["outputs"])}
+
+    def count_tables(self, kind: str) -> list[tuple[UnitVector3, UnitVector3, CountTable]]:
+        """The two orientations and the count table of each of ``logs(kind)``.
+
+        The events are independent, so the counts are all an analysis reads of a log.  They are
+        the ones the manifest records where the log's CSV and sidecar both match their digests
+        there; every other log is decoded.  The sidecar is validated either way.
+        """
+        tables = []
+        for sidecar in self.logs(kind):
+            meta, orientations, _ = _read_sidecar(sidecar)
+            if meta["kind"] != kind:
+                raise SchemaMismatch(f"{sidecar}: declares kind {meta['kind']!r}, not {kind!r}")
+            files = _log_files(sidecar)
+            cells = self.counts.get(files[1].name)
+            if cells is not None and not any(map(self._problem, files)):
+                table = CountTable(dict(zip(_SPACES[kind], cells)), _SPACES[kind])
+                if table.total != meta["n"]:
+                    raise CorruptData(f"{files[1]}: the recorded counts sum to {table.total} but "
+                                      f"sidecar declares n={meta['n']}")
+            else:
+                table = load_events(sidecar).count_table()
+            tables.append((*orientations, table))
+        return tables
+
+    def verify(self) -> list[str]:
+        """What is wrong with each listed file, then with the recorded counts of each log none
+        of whose listed files failed, decoded and counted again."""
+        outputs = self.manifest["outputs"]
+        problems = [f"{name}: {problem}" for name in outputs
+                    if (problem := self._problem(self.path / name))]
+        for name, cells in self.counts.items():
+            log = self.path / name
+            if not any(path.name in outputs and self._problem(path) for path in _log_files(log)):
+                found = load_events(log).count_table().as_vector().tolist()
+                if found != cells:
+                    problems.append(f"{name}: counts {found} differ from the recorded {cells}")
+        return problems
+
+
+def verify_manifest(run: _RunDir | Path) -> list[str]:
+    """Recompute the output digests of the run directory ``run``, and decode each log with
+    recorded counts to count it again; return a list of mismatch descriptions."""
+    return (run if isinstance(run, _RunDir) else _RunDir(run, need_manifest=True)).verify()
 
 
 # -- config handling ----------------------------------------------------------------
@@ -602,64 +659,16 @@ def _cmd_sg_run(args, out: Path) -> tuple[list[Path], dict]:
     return outputs, {"counts": counts}
 
 
-def _log_sidecars(logdir: Path, kind: str) -> list[Path]:
-    """The ``{kind}_*.json`` log sidecars under ``logdir`` in name order; none is an error."""
-    sidecars = sorted(logdir.glob(f"{kind}_*.json"))
-    if not sidecars:
-        raise FileNotFoundError(f"no {kind}_*.json logs under {logdir}")
-    return sidecars
-
-
-def _count_tables(logdir: Path, kind: str, manifest: dict | None
-                  ) -> list[tuple[UnitVector3, UnitVector3, CountTable]]:
-    """The two orientations and the count table of each ``kind`` log under ``logdir``.
-
-    The events are independent, so the counts are all an analysis reads of a log.  They are
-    the ones ``manifest`` records where the log's CSV and sidecar both match their digests
-    there; every other log is decoded.  The sidecar is validated either way.
-    """
-    outputs = manifest["outputs"] if manifest else {}
-    recorded = manifest.get("diagnostics", {}).get("counts", {}) if manifest else {}
-    tables = []
-    for sidecar in _log_sidecars(logdir, kind):
-        meta, orientations, _ = _read_sidecar(sidecar)
-        if meta["kind"] != kind:
-            raise SchemaMismatch(f"{sidecar}: declares kind {meta['kind']!r}, not {kind!r}")
-        files = _log_files(sidecar)
-        cells = recorded.get(files[1].name)
-        if cells is not None and all(outputs.get(p.name) == _sha256(p) for p in files):
-            table = CountTable(dict(zip(_SPACES[kind], cells)), _SPACES[kind])
-            if table.total != meta["n"]:
-                raise CorruptData(f"{files[1]}: the recorded counts sum to {table.total} but "
-                                  f"sidecar declares n={meta['n']}")
-        else:
-            table = load_events(sidecar).count_table()
-        tables.append((*orientations, table))
-    return tables
-
-
 def _cmd_sg_fit(args) -> int:
     logdir = Path(args.logdir)
-    thetas, e_hats, stderrs = [], [], []
-    for a, m, table in _count_tables(logdir, "sg", _run_manifest(logdir)):
-        e_hat, stderr = sg_experiment.estimate_from_counts(table)
-        thetas.append(a.angle_to(m))
-        e_hats.append(e_hat)
-        stderrs.append(stderr)
+    tables = _RunDir(logdir).count_tables("sg")
+    thetas = [a.angle_to(m) for a, m, _ in tables]
+    e_hats, stderrs = map(list, zip(*(sg_experiment.estimate_from_counts(t) for *_, t in tables)))
     fit = sg_experiment.fit_robust_solution(thetas, e_hats, k_max=args.k_max, stderrs=stderrs)
-    _write_json(logdir / "fit.json", {
-        "k_winding": fit.k_winding,
-        "phi": fit.phi,
-        "residual": fit.residual,
-        "fisher": fit.fisher,
-        "thetas": thetas,
-        "e_hats": e_hats,
-        "stderrs": stderrs,
-    })
-    print(
-        f"K={fit.k_winding} phi={fit.phi:.6f} residual={fit.residual:.3e} "
-        f"fisher={fit.fisher:.1f}"
-    )
+    _write_json(logdir / "fit.json", {**vars(fit), "thetas": thetas, "e_hats": e_hats,
+                                      "stderrs": stderrs})
+    print(f"K={fit.k_winding} phi={fit.phi:.6f} residual={fit.residual:.3e} "
+          f"fisher={fit.fisher:.1f}")
     return EXIT_OK
 
 
@@ -669,54 +678,43 @@ def _cmd_eprb_run(args, out: Path) -> tuple[list[Path], dict]:
     seeds = sg_experiment.derive_seeds(args.seed, len(thetas))
     sign = -1 if args.correlation_sign == "-" else 1
     outputs, counts = [], {}
+    a1 = UnitVector3(0.0, 0.0, 1.0)
     for i, (theta, child_seed) in enumerate(zip(thetas, seeds)):
-        a1 = UnitVector3(0.0, 0.0, 1.0)
         a2 = UnitVector3.from_polar(float(theta))
-        log = eprb_experiment.sample_eprb(
-            a1, a2, args.n, child_seed, correlation_sign=sign
-        )
+        log = eprb_experiment.sample_eprb(a1, a2, args.n, child_seed, correlation_sign=sign)
         outputs += (files := save_pair_log(log, out / f"eprb_{i:03d}"))
         table = log.count_table()
         counts[files[0].name] = table.as_vector().tolist()
         report = eprb_experiment.correlation_report_from_counts(table)
-        print(
-            f"theta={theta:.6f} n={args.n} xy_mean={report.xy_mean:+.6f} "
-            f"x_mean={report.x_mean:+.6f} y_mean={report.y_mean:+.6f}"
-        )
+        print(f"theta={theta:.6f} n={args.n} xy_mean={report.xy_mean:+.6f} "
+              f"x_mean={report.x_mean:+.6f} y_mean={report.y_mean:+.6f}")
     return outputs, {"counts": counts}
 
 
-def _pair_tables(args, manifest: dict | None) -> list[tuple[UnitVector3, UnitVector3, CountTable]]:
-    """``_count_tables`` of the eprb logs at ``args.source``, or of an external CSV."""
-    source = Path(args.source)
-    if source.is_dir():
-        return _count_tables(source, "eprb", manifest)
+def _pair_tables(args, run: _RunDir) -> list[tuple[UnitVector3, UnitVector3, CountTable]]:
+    """``count_tables`` of the eprb logs at ``args.source``, or the table of an external CSV."""
+    if run.path.is_dir():
+        return run.count_tables("eprb")
     if args.a1 is None or args.a2 is None:
         raise ConfigError("external CSV input needs --a1 and --a2")
-    log = load_external_pair_csv(source, _parse_vector(args.a1), _parse_vector(args.a2))
+    log = load_external_pair_csv(run.path, _parse_vector(args.a1), _parse_vector(args.a2))
     return [(log.a1, log.a2, log.count_table())]
 
 
 def _cmd_eprb_report(args) -> int:
     source, out = Path(args.source), None if args.out is None else Path(args.out)
-    manifest = _run_manifest(source)
+    run = _RunDir(source)
     if out is not None:  # refused if it is a file the report reads or its run directory lists
-        reads = {source} if not source.is_dir() else {
-            path for sidecar in source.glob("eprb_*.json") for path in _log_files(sidecar)}
-        if manifest is not None:
-            reads |= {source / n for n in ("manifest.json", *manifest["outputs"])}
+        reads = run.inputs("eprb") if source.is_dir() else {source}
         if any(p.samefile(out) if p.exists() else os.path.realpath(p) == os.path.realpath(out)
                for p in reads if p.exists() == out.exists()):  # a missing out is a missing input
             raise ConfigError(f"--out {args.out} is an input of the report; left as it is")
     rows = []
-    for a1, a2, table in _pair_tables(args, manifest):
+    for a1, a2, table in _pair_tables(args, run):
         rep, theta = eprb_experiment.correlation_report_from_counts(table), a1.angle_to(a2)
         rows.append((theta, rep.xy_mean, rep.x_mean, rep.y_mean, rep.stderr_xy, rep.n))
-        print(
-            f"theta={theta:.6f} xy_mean={rep.xy_mean:+.6f} "
-            f"x_mean={rep.x_mean:+.6f} y_mean={rep.y_mean:+.6f} "
-            f"stderr_xy={rep.stderr_xy:.2e} n={rep.n}"
-        )
+        print(f"theta={theta:.6f} xy_mean={rep.xy_mean:+.6f} x_mean={rep.x_mean:+.6f} "
+              f"y_mean={rep.y_mean:+.6f} stderr_xy={rep.stderr_xy:.2e} n={rep.n}")
     if out is not None:
         out.parent.mkdir(parents=True, exist_ok=True)
         _write_table(out, "eprb_report", np.array(rows, dtype=float).T)
@@ -725,16 +723,13 @@ def _cmd_eprb_report(args) -> int:
 
 def _cmd_eprb_test(args) -> int:
     all_pass = True
-    for a1, a2, table in _pair_tables(args, _run_manifest(Path(args.source))):
+    for a1, a2, table in _pair_tables(args, _RunDir(args.source)):
         sigma, ok = eprb_experiment.singlet_compliance_from_counts(table, a1, a2)
         sig_x, sig_y = eprb_experiment.marginal_uniformity_from_counts(table)
         line_pass = ok and sig_x <= 5 and sig_y <= 5
         all_pass &= line_pass
-        print(
-            f"theta={a1.angle_to(a2):.6f} singlet_sigma={sigma:.3f} "
-            f"marginal_sigma=({sig_x:.3f}, {sig_y:.3f}) "
-            f"{'PASS' if line_pass else 'FAIL'}"
-        )
+        print(f"theta={a1.angle_to(a2):.6f} singlet_sigma={sigma:.3f} "
+              f"marginal_sigma=({sig_x:.3f}, {sig_y:.3f}) {'PASS' if line_pass else 'FAIL'}")
     return EXIT_OK if all_pass else EXIT_CONTRACT
 
 
@@ -745,34 +740,22 @@ def _design(rows: np.ndarray) -> list[tuple[UnitVector3, UnitVector3]]:
 def _cmd_separate_sg(args, out: Path) -> tuple[list[Path], dict]:
     rows = _read_table(args.input, "sg_correlations")
     result = separation.separate_sg(rows[:, 6], _design(rows), noise_floor=args.noise_floor)
-    rho = separation.HermitianOperator(
-        (separation.IDENTITY_2 + separation.pauli_vector(result.m_est)) / 2
-    )
-    print(
-        f"m_est=({result.m_est[0]:+.6f}, {result.m_est[1]:+.6f}, {result.m_est[2]:+.6f}) "
-        f"u0={result.u0:+.2e} residual={result.residual:.2e}"
-        + (" [trivial signal]" if result.trivial_signal else "")
-    )
-    return [save_operator(rho, out / "rho.json"), _write_json(out / "separation.json", {
-        "m_est": [float(v) for v in result.m_est],
-        "u0": result.u0,
-        "residual": result.residual,
-        "trivial_signal": result.trivial_signal,
-    })], {}
+    rho = separation.HermitianOperator((separation.IDENTITY_2
+                                        + separation.pauli_vector(result.m_est)) / 2)
+    print(f"m_est=({result.m_est[0]:+.6f}, {result.m_est[1]:+.6f}, {result.m_est[2]:+.6f}) "
+          f"u0={result.u0:+.2e} residual={result.residual:.2e}"
+          + (" [trivial signal]" if result.trivial_signal else ""))
+    return [save_operator(rho, out / "rho.json"), _write_json(
+        out / "separation.json", {**vars(result), "m_est": result.m_est.tolist()})], {}
 
 
 def _cmd_separate_eprb(args, out: Path) -> tuple[list[Path], dict]:
     rows = _read_table(args.input, "eprb_correlations")
     result = separation.separate_eprb(_design(rows), *rows[:, 6:9].T, noise_floor=args.noise_floor)
     print(f"rho0={result.coeffs.rho0:.6f} residual={result.residual:.2e}")
+    coeffs = {name: np.asarray(value).tolist() for name, value in vars(result.coeffs).items()}
     return [save_operator(result.rho(), out / "rho.json"), _write_json(out / "separation.json", {
-        "rho0": result.coeffs.rho0,
-        "rho1": [float(v) for v in result.coeffs.rho1],
-        "rho2": [float(v) for v in result.coeffs.rho2],
-        "rho12": [[float(v) for v in row] for row in result.coeffs.rho12],
-        "residual": result.residual,
-        "block_residuals": result.block_residuals,
-    })], {}
+        **coeffs, "residual": result.residual, "block_residuals": result.block_residuals})], {}
 
 
 def _build_potential(kind: str, mass: float):
@@ -798,9 +781,7 @@ def _cmd_evolve(args, out: Path) -> tuple[list[Path], dict]:
     parts = args.grid.split(",")
     if len(parts) != 4:
         raise ConfigError(f"--grid expects L,n_x,dt,n_t, got {args.grid!r}")
-    grid = SpatialGrid(
-        L=float(parts[0]), n_x=int(parts[1]), dt=float(parts[2]), n_t=int(parts[3])
-    )
+    grid = SpatialGrid(L=float(parts[0]), n_x=int(parts[1]), dt=float(parts[2]), n_t=int(parts[3]))
     potential = _build_potential(args.potential, args.mass)
     params = PhysicalParams(mass=args.mass, lam=getattr(args, "lambda"), potential=potential)
     # Derived quantities the evolver squares or divides by must stay normal floats.
@@ -813,20 +794,17 @@ def _cmd_evolve(args, out: Path) -> tuple[list[Path], dict]:
         raise ConfigError(f"--mass {params.mass:g} and --lambda {params.lam:g} overflow 2 / "
                           "(mass lambda dx**2)")
     psi0 = gaussian_packet(grid, x0=args.x0, sigma0=args.sigma0, p0=args.p0, lam=params.lam)
-    traj = wave_dynamics.evolve_tdse(
-        psi0, params, grid, store_every=args.stride, check_boundary=not args.allow_boundary
-    )
+    traj = wave_dynamics.evolve_tdse(psi0, params, grid, store_every=args.stride,
+                                     check_boundary=not args.allow_boundary)
     x = grid.x
     outputs = [out / f"snap_{k:06d}.csv" for k in range(len(traj.psi))]
     for k, (path, psi) in enumerate(zip(outputs, traj.psi)):
         polar = traj.polar(k)  # one slice at a time: the history's (P, S) is never held
         _write_table(path, "snapshot", [x, psi.real, psi.imag, polar.P[0], polar.S[0]])
-    print(
-        f"stored {traj.psi.shape[0]} snapshots; final norm drift {traj.norm_drift:.2e}; "
-        f"max norm drift {traj.max_norm_drift:.2e}; energy drift "
-        f"{abs(traj.energies[-1] - traj.energies[0]):.2e}; "
-        f"max wall mass {traj.max_edge_mass:.2e}"
-    )
+    print(f"stored {traj.psi.shape[0]} snapshots; final norm drift {traj.norm_drift:.2e}; "
+          f"max norm drift {traj.max_norm_drift:.2e}; energy drift "
+          f"{abs(traj.energies[-1] - traj.energies[0]):.2e}; "
+          f"max wall mass {traj.max_edge_mass:.2e}")
     return outputs, {}
 
 
@@ -876,9 +854,7 @@ def _cmd_check_fisher(args) -> int:
 
     # Homogeneity: shifting detector line and source together changes nothing.
     disc = wave_dynamics.fisher_discrete(binned_gaussian(200), [0.0], dx_step=1e-4)
-    shifted = wave_dynamics.fisher_discrete(
-        binned_gaussian(200, origin=2.5), [2.5], dx_step=1e-4
-    )
+    shifted = wave_dynamics.fisher_discrete(binned_gaussian(200, origin=2.5), [2.5], dx_step=1e-4)
     print(f"discrete Fisher fine bins: {disc:.6f}; jointly shifted: {shifted:.6f}")
     ok = rel < 0.01 and abs(disc - 1.0) < 0.01 and abs(disc - shifted) < 1e-9
     return EXIT_OK if ok else EXIT_CONTRACT
@@ -891,29 +867,24 @@ def _cmd_check_madelung(args) -> int:
     for n_x, dt in ((256, 2e-3), (512, 1e-3)):
         grid = SpatialGrid(L=8.0, n_x=n_x, dt=dt, n_t=int(round(0.2 / dt)))
         params = PhysicalParams()
-        traj = wave_dynamics.evolve_tdse(
-            gaussian_packet(grid, sigma0=1.0), params, grid, store_every=10
-        )
-        rep = wave_dynamics.check_madelung_extremum(
-            traj.polar(), params, grid, slice_dt=traj.slice_dt
-        )
+        traj = wave_dynamics.evolve_tdse(gaussian_packet(grid, sigma0=1.0), params, grid,
+                                         store_every=10)
+        rep = wave_dynamics.check_madelung_extremum(traj.polar(), params, grid,
+                                                    slice_dt=traj.slice_dt)
         reports.append(rep)
-        print(
-            f"n_x={n_x} dt={dt:g}: continuity_rms={rep.continuity_rms:.3e} "
-            f"quantum_hj_rms={rep.quantum_hj_rms:.3e}"
-        )
+        print(f"n_x={n_x} dt={dt:g}: continuity_rms={rep.continuity_rms:.3e} "
+              f"quantum_hj_rms={rep.quantum_hj_rms:.3e}")
     ratio_c = reports[0].continuity_rms / reports[1].continuity_rms
     ratio_q = reports[0].quantum_hj_rms / reports[1].quantum_hj_rms
-    print(
-        f"refinement ratios: continuity x{ratio_c:.2f}, quantum HJ x{ratio_q:.2f} "
-        "(2nd order: both in (2.5, 8))"
-    )
+    print(f"refinement ratios: continuity x{ratio_c:.2f}, quantum HJ x{ratio_q:.2f} "
+          "(2nd order: both in (2.5, 8))")
     ok = 2.5 < ratio_c < 8.0 and 2.5 < ratio_q < 8.0
     return EXIT_OK if ok else EXIT_CONTRACT
 
 
 def _cmd_report(args) -> int:
-    manifest = _read_manifest(args.rundir)
+    run = _RunDir(args.rundir, need_manifest=True)
+    manifest = run.manifest
     print(f"command:  {manifest['command']}")
     print(f"version:  {manifest['library_version']} (rng {manifest['rng_algorithm']})")
     print(f"created:  {manifest['created_utc']}")
@@ -922,7 +893,7 @@ def _cmd_report(args) -> int:
     for name, digest in sorted(manifest["outputs"].items()):
         print(f"  {name}  sha256:{digest[:16]}...")
     if args.verify:
-        problems = verify_manifest(args.rundir)
+        problems = verify_manifest(run)
         if problems:
             for problem in problems:
                 print(f"VERIFY FAIL {problem}", file=sys.stderr)

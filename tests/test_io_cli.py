@@ -1255,7 +1255,8 @@ def _edited_counts(cells, *command: str):
 
 
 def _log_of_the_other_kind(run_kind: str, *command: str):
-    """``command`` on a one-log ``run_kind`` run whose log files take the other kind's name."""
+    """``command`` on a one-log ``run_kind`` run whose log files take the other kind's name,
+    in the manifest too, which then records no counts."""
     other = {"sg": "eprb", "eprb": "sg"}[run_kind]
 
     def make_argv(tmp: Path) -> list[str]:
@@ -1263,6 +1264,11 @@ def _log_of_the_other_kind(run_kind: str, *command: str):
                             "--out", str(run := tmp / "run")]) == 0
         for suffix in (".csv", ".json"):
             (run / f"{run_kind}_000{suffix}").rename(run / f"{other}_000{suffix}")
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["outputs"] = {name.replace(run_kind, other, 1): digest
+                               for name, digest in manifest["outputs"].items()}
+        del manifest["diagnostics"]["counts"]
+        (run / "manifest.json").write_text(json.dumps(manifest))
         return [*command, str(run)]
 
     return make_argv
@@ -1284,13 +1290,31 @@ def _eprb_report_onto(target: str):
             for suffix in (".csv", ".json"):
                 (run / f"eprb_002{suffix}").unlink()
             target_path = run / "eprb_002.csv"
-        elif target == "dotted log":  # the log "eprb_0.5" is read from "eprb_0.5.csv"
+        elif target == "dotted log":  # without a manifest, "eprb_0.5" is read from "eprb_0.5.csv"
+            (run / "manifest.json").unlink()
             save_pair_log(sample_eprb(Z, X, 50, seed=5), run / "eprb_0.5")
             target_path = run / "eprb_0.5.csv"
         else:
             (tmp / "link").symlink_to(run / target)
             target_path = tmp / "link"
         return ["eprb", "report", str(run), "--out", str(target_path)]
+
+    return make_argv
+
+
+def _listed_log_broken(kind: str, broken: str, *command: str):
+    """``command``, given the relative path "run", on a one-log ``kind`` run whose manifest
+    lists a log that lacks its CSV or sidecar, or whose sidecar it no longer lists."""
+    def make_argv(tmp: Path) -> list[str]:
+        assert run_command([kind, "run", "--theta", "0.5", "--n", "100", "--seed", "1",
+                            "--out", str(run := tmp / "run")]) == 0
+        if broken == "sidecar unlisted":
+            manifest = json.loads((run / "manifest.json").read_text())
+            del manifest["outputs"][f"{kind}_000.json"]
+            (run / "manifest.json").write_text(json.dumps(manifest))
+        else:
+            (run / f"{kind}_000.{broken.split()[0]}").unlink()
+        return [*command, "run"]
 
     return make_argv
 
@@ -1342,6 +1366,14 @@ EXIT_CASES = {
     "report_verify_counts_edited": (
         _edited_counts(lambda cells: cells[::-1], "report", "--verify"), 3,
         "VERIFY FAIL sg_000.csv: counts [97, 3] differ from the recorded [3, 97]"),
+    **{f"{'_'.join(command)}_{broken.replace(' ', '_')}": (
+        _listed_log_broken(command[0], broken, *command), 2, message.format(command[0]))
+       for command in (("sg", "fit"), ("eprb", "report"), ("eprb", "test"))
+       for broken, message in (
+           ("csv deleted", "SchemaMismatch: missing file run/{}_000.csv"),
+           ("json deleted", "SchemaMismatch: missing file run/{}_000.json"),
+           ("sidecar unlisted", "run: its manifest lists a log without {}_000.json"),
+       )},
     "stride_zero": (lambda tmp: ["evolve", "--grid", "10,64,0.001,10", "--stride", "0"],
                     2, "stride"),
     **{f"{cmd.replace(' ', '_')}_{flag[2:]}_double_dash": (
@@ -1701,6 +1733,56 @@ def test_recorded_counts_analyse_as_the_decoded_logs(tmp_path_factory, kind, mut
     decoded = [tuple(v.replace(str(tmp / "b"), str(tmp / "a")) if isinstance(v, str) else v
                      for v in result) for result in _analyses(twin, kind)]
     assert _analyses(run, kind) == decoded
+
+
+def _stray_log(run: Path, kind: str) -> None:
+    """Copy the log of another ``kind`` run, at theta = 0.5, into ``run`` as "{kind}_099"."""
+    assert _captured([kind, "run", "--theta", "0.5", "--n", "120", "--seed", "9",
+                      "--out", str(other := run.parent / "other")])[0] == 0
+    for suffix in (".csv", ".json"):
+        shutil.copyfile(other / f"{kind}_000{suffix}", run / f"{kind}_099{suffix}")
+
+
+@pytest.mark.parametrize("kind", ["sg", "eprb"])
+def test_analyses_read_exactly_the_listed_logs(tmp_path, kind):
+    """A stray log beside the ones a manifest lists changes no byte an analysis writes or
+    prints; in a log directory without a manifest, the analyses glob and read it too."""
+    assert _captured([*_SUFFICIENT_RUNS[kind], "--out", str(run := tmp_path / "run")])[0] == 0
+    listed = _analyses(run, kind)
+    _stray_log(run, kind)
+    assert _analyses(run, kind) == listed
+    (run / "manifest.json").unlink()
+    globbed = _analyses(run, kind)
+    if kind == "sg":
+        thetas = json.loads(globbed[0][3])["thetas"]
+        assert len(thetas) == 9 and min(abs(t - 0.5) for t in thetas) < 1e-12
+    else:
+        for code, stdout, stderr, _ in globbed:
+            assert stdout.count("\n") == 4 and "theta=0.500000 " in stdout and stderr == ""
+        assert globbed[0][3].count(b"\n") == 5  # the header and four rows
+
+
+@pytest.mark.parametrize("kind", ["sg", "eprb"])
+def test_one_manifest_parse_and_one_digest_per_listed_file(tmp_path, monkeypatch, kind):
+    """Each analysis of a run, and ``report --verify``, parses its manifest once and hashes
+    each listed file once."""
+    assert _captured([*_SUFFICIENT_RUNS[kind], "--out", str(run := tmp_path / "run")])[0] == 0
+    listed = sorted(json.loads((run / "manifest.json").read_text())["outputs"])
+    parsed, digested = [], []
+    read_json, sha256 = io_cli._read_json, io_cli._sha256
+    monkeypatch.setattr(io_cli, "_read_json",
+                        lambda path: parsed.append(Path(path).name) or read_json(path))
+    monkeypatch.setattr(io_cli, "_sha256",
+                        lambda path: digested.append(Path(path).name) or sha256(path))
+    analyses = {"sg": [["sg", "fit", str(run)]],
+                "eprb": [["eprb", "report", str(run), "--out", str(tmp_path / "report.csv")],
+                         ["eprb", "test", str(run)]]}[kind]
+    for argv in [*analyses, ["report", str(run), "--verify"]]:
+        parsed.clear()
+        digested.clear()
+        assert _captured(argv)[0] == 0
+        assert parsed.count("manifest.json") == 1, argv
+        assert sorted(digested) == listed, argv  # every file of a log with recorded counts
 
 
 def _tree(root: Path) -> dict[str, bytes | None]:

@@ -10,6 +10,8 @@ methods come with their class; annotations refer to nothing.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,3 +99,16 @@ def test_every_definition_has_a_caller():
 def test_every_allowed_name_is_defined():
     defined = {name for _, _, name, _ in _definitions()[0]}
     assert ALLOWED - defined == set()
+
+
+def test_every_traced_target_is_found(monkeypatch):
+    """``perfbench/tracing.py`` wraps its targets by name, so a renamed or inlined one is
+    reported here rather than reading 0 in the per-layer metrics."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        pass
+    assert tracer.missing == []
